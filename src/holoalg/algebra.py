@@ -284,7 +284,8 @@ class Element:
                 and np.array_equal(self.coords, other.coords))
 
     def __hash__(self):
-        return hash((id(self.algebra), self.coords.tobytes()))
+        # only what __eq__ compares; adding 0.0 maps -0.0 to 0.0, which compare equal
+        return hash((self.algebra.dim, (self.coords + 0.0).tobytes()))
 
     def isclose(self, other: "Element", tol: float = 1e-10) -> bool:
         self._check(other)
@@ -340,6 +341,29 @@ class Element:
     def coord_norm(self) -> float:
         """Euclidean norm of the raw coordinates (a vector norm, not an algebra norm)."""
         return float(np.linalg.norm(self.coords))
+
+
+# -- coordinate stacks: many elements at once, one column each ---------------
+
+def _batch_mul(algebra: Algebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Columnwise algebra product of two (n, T) coordinate stacks."""
+    return np.einsum("jki,jt,kt->it", algebra.alpha, a, b)
+
+
+def _batch_regular(algebra: Algebra, x: np.ndarray) -> np.ndarray:
+    """(n, T) coordinates -> (T, n, n) regular representations."""
+    return np.einsum("jt,jki->tik", x, algebra.alpha)
+
+
+def _batch_norm(algebra: Algebra, x: np.ndarray, kind: str = "frobenius") -> np.ndarray:
+    """Element.norm of every column of an (n, T) stack, for the two matrix norms."""
+    if kind == "frobenius":
+        return np.linalg.norm(_batch_regular(algebra, x), axis=(1, 2))
+    if kind == "operator":
+        return np.linalg.norm(_batch_regular(algebra, x), 2, axis=(1, 2))
+    if kind == "direct-sum":
+        raise DecompositionRequired("direct-sum norm needs a decomposition")
+    raise ValueError(f"unknown norm kind {kind!r}")
 
 
 def mul(a: Element, b: Element) -> Element:

@@ -20,7 +20,6 @@ import numpy as np
 from . import fileio
 from .algebra import Algebra, Element
 from .contour import (
-    admissibility,
     cif_derivative,
     cif_value,
     index_quadrature,
@@ -176,8 +175,8 @@ def cmd_index(args):
     dec_a = artin_decompose(algebra, seed=args.seed)
     dec_b = artin_decompose(phi.target, seed=args.seed)
     fact = factor(phi, dec_a, dec_b)
-    adm = admissibility(cycle, point, phi, dec_a, dec_b, fact, args.seed)
     spings = index_spectral(cycle, point, phi, dec_a, dec_b, fact, args.seed)
+    adm = spings.admissibility
     quad = index_quadrature(cycle, point, phi)
     quad_components = [complex(dec_b.spectral_rows[ell] @ quad.coords)
                        for ell in range(dec_b.count)]

@@ -2,9 +2,13 @@
 
 Paths are piecewise-C1 with closed-form kinds (circles and polylines carry
 exact derivatives); user-sampled paths are accepted as dense polylines when
-flagged smooth.  Integration is composite Gauss-Legendre of order 16 with
-interval halving (absolute per-coordinate tolerance, overridable through the
-HOLOALG_TOL environment variable).  The generalized index is computed two
+flagged smooth.  All contour integrals go through one integrator: composite
+Gauss-Legendre of order 16 with interval halving, refined breadth first over
+every segment of every path of a cycle, so that each level samples the
+integrand once at the nodes of all its unconverged panels.  A panel passes at
+an absolute per-coordinate tolerance halved per level (default 1e-10,
+overridable through HOLOALG_TOL); QUAD_MAX_DEPTH levels and a budget of
+QUAD_MAX_PANELS panels bound the work.  The generalized index is computed two
 independent ways: winding numbers of the spectral projections by adaptive
 angle summation, and direct quadrature of the reproducing kernel; the two
 must agree to 1e-8 on admissible points.
@@ -15,15 +19,16 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, Element
+from .algebra import SINGULAR_RATIO, Algebra, Element, _batch_mul, _batch_norm, _batch_regular
 from .crsystem import FunctionSampler, gcru_residual
 from .decomposition import Decomposition, artin_decompose
 from .errors import (
+    EstimateViolated,
     IndexNotInvertible,
     NotAdmissible,
     NotAUnit,
@@ -39,6 +44,10 @@ ADMISSIBILITY_RESOLUTION = 1e-4   # path-parameter sampling resolution
 WINDING_MAX_POINTS = 2_000_000
 WINDING_INTEGER_TOL = 0.05
 QUAD_MAX_DEPTH = 20
+QUAD_MAX_PANELS = 10_000   # panels one integral may evaluate, over all its segments
+# entries of the (nodes, m, m) stacks one integrand call may build: larger
+# levels are evaluated in blocks, so memory does not grow with the segments
+QUAD_BLOCK_ENTRIES = 1 << 14
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -104,7 +113,6 @@ class Path:
     closed: bool
     kind: str
     smooth: bool = True
-    meta: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         segs = self.segments
@@ -127,9 +135,7 @@ class Path:
         direction = direction if direction is not None else algebra.unit()
         seg = CircleSegment(algebra, center.coords.copy(), float(radius), int(turns),
                             direction.coords.copy())
-        meta = {"center": center.coords, "radius": float(radius), "turns": int(turns),
-                "direction": direction.coords}
-        return cls(algebra, (seg,), closed=True, kind="circle", meta=meta)
+        return cls(algebra, (seg,), closed=True, kind="circle")
 
     @classmethod
     def polyline(cls, points: Sequence[Element]) -> "Path":
@@ -140,14 +146,12 @@ class Path:
         closed = bool(np.abs(coords[0] - coords[-1]).max() <= ENDPOINT_TOL)
         segs = tuple(LineSegment(algebra, a.copy(), b.copy())
                      for a, b in zip(coords, coords[1:]))
-        return cls(algebra, segs, closed=closed, kind="polyline",
-                   meta={"points": [c for c in coords]})
+        return cls(algebra, segs, closed=closed, kind="polyline")
 
     @classmethod
     def samples(cls, points: Sequence[Element], smooth: bool) -> "Path":
         path = cls.polyline(points)
-        return cls(path.algebra, path.segments, path.closed, "samples", smooth,
-                   {"points": [p.coords for p in points], "smooth": bool(smooth)})
+        return cls(path.algebra, path.segments, path.closed, "samples", bool(smooth))
 
     # -- operations -------------------------------------------------------------
 
@@ -213,43 +217,103 @@ def as_cycle(obj) -> Cycle:
 # quadrature
 # ---------------------------------------------------------------------------
 
-def _gl_panel(vec_fn, a: float, b: float) -> np.ndarray:
-    ts = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-    vals = vec_fn(ts)
-    return 0.5 * (b - a) * (vals @ _GL_WEIGHTS)
+def _quadrature(terms, phi: Morphism, integrand, tol: float | None,
+                speed_kind: str = "frobenius") -> tuple[np.ndarray, float]:
+    """Adaptive GL16 over every segment of every (mult, path) term, breadth first.
+
+    ``integrand(points, velocities)`` maps the (n, T) source nodes and their
+    (m, T) pushed velocities phi(gamma') to ``(values, sizes)``: a (B, m, T)
+    stack of integrands and the (B, T) norms of the factors multiplying the
+    velocity; ``None`` integrates only the speed.  Returns the (B, m)
+    integrals, weighted by multiplicity, and the ``speed_kind`` arc length,
+    weighted by its absolute value.  Each integral is checked against
+    ||integral|| <= sup ||size|| * arc (Frobenius norms).
+    """
+    tol = quad_tolerance(tol)
+    tgt = phi.target
+    segs, mults, labels = [], [], []
+    for p, (mult, path) in enumerate(terms):
+        path.require_smooth()
+        for k, seg in enumerate(path.segments):
+            segs.append(seg)
+            mults.append(mult)
+            labels.append(f"path {p} segment {k}")
+    mults = np.array(mults, dtype=float)
+    sups = []
+    block = max(1, QUAD_BLOCK_ENTRIES // (len(_GL_NODES) * tgt.dim ** 2))
+
+    def panels(idx, a, b):
+        """GL16 estimates, one row per panel [a, b] of segment idx (idx sorted)."""
+        if len(idx) > block:
+            return np.concatenate([panels(idx[i:i + block], a[i:i + block], b[i:i + block])
+                                   for i in range(0, len(idx), block)])
+        ts = 0.5 * (b - a)[:, None] * _GL_NODES + 0.5 * (a + b)[:, None]
+        starts = np.flatnonzero(np.r_[True, idx[1:] != idx[:-1]])
+        pts, vel = [], []
+        for i, j in zip(starts, np.r_[starts[1:], len(idx)]):
+            seg, t = segs[idx[i]], ts[i:j].ravel()
+            pts.append(seg.points(t))
+            vel.append(seg.velocities(t))
+        vel = phi.matrix @ np.concatenate(vel, axis=1)
+        rows = _batch_norm(tgt, vel, speed_kind)[None]
+        if integrand is not None:
+            values, sizes = integrand(np.concatenate(pts, axis=1), vel)
+            sups.append(sizes.max(axis=1))
+            rows = np.concatenate([values.reshape(-1, vel.shape[1]), rows])
+        sums = rows.reshape(len(rows), len(idx), len(_GL_NODES)) @ _GL_WEIGHTS
+        return (0.5 * (b - a) * sums).T
+
+    idx = np.arange(len(segs))
+    a, b = np.zeros(len(segs)), np.ones(len(segs))
+    whole = panels(idx, a, b)
+    used = len(segs)
+    total = np.zeros(whole.shape[1], dtype=complex)
+    arc = 0.0
+    where = f"{labels[0]}, t in [0, 1]"
+    for depth in range(QUAD_MAX_DEPTH + 1):
+        if used + 2 * len(idx) > QUAD_MAX_PANELS:
+            raise QuadratureNoConvergence(
+                f"panel budget {QUAD_MAX_PANELS} exhausted at depth {depth}, worst at {where}")
+        mid = 0.5 * (a + b)
+        idx2 = np.repeat(idx, 2)
+        a2 = np.column_stack([a, mid]).ravel()
+        b2 = np.column_stack([mid, b]).ravel()
+        halves = panels(idx2, a2, b2)
+        used += len(idx2)
+        pair = halves[0::2] + halves[1::2]
+        err = np.abs(pair - whole).max(axis=1)
+        done = err < tol / 2 ** depth
+        total += mults[idx[done]] @ pair[done]
+        arc += float(np.abs(mults[idx[done]]) @ pair[done, -1].real)
+        if done.all():
+            break
+        worst = int(np.argmax(err))
+        where = f"{labels[idx[worst]]}, t in [{a[worst]:.17g}, {b[worst]:.17g}]"
+        if depth == QUAD_MAX_DEPTH:
+            raise QuadratureNoConvergence(
+                f"interval halving exhausted depth {QUAD_MAX_DEPTH} at {where}")
+        keep = np.repeat(~done, 2)
+        idx, a, b, whole = idx2[keep], a2[keep], b2[keep], halves[keep]
+
+    integrals = total[:-1].reshape(-1, tgt.dim)
+    if len(integrals):
+        bounds = np.max(sups, axis=0) * arc
+        norms = _batch_norm(tgt, integrals.T)
+        for i in np.flatnonzero(norms > bounds * (1 + 1e-6) + 1e-9):
+            raise EstimateViolated(
+                f"quadrature result {i} violates the norm estimate ({norms[i]:.3e} > "
+                f"{bounds[i]:.3e}); integrand is likely discontinuous on the path")
+    return integrals, arc
 
 
-def _adaptive(vec_fn, a: float, b: float, tol: float, depth: int) -> np.ndarray:
-    whole = _gl_panel(vec_fn, a, b)
-    return _refine(vec_fn, a, b, whole, tol, depth)
-
-
-def _refine(vec_fn, a, b, whole, tol, depth) -> np.ndarray:
-    mid = 0.5 * (a + b)
-    left = _gl_panel(vec_fn, a, mid)
-    right = _gl_panel(vec_fn, mid, b)
-    if np.abs(left + right - whole).max() < tol:
-        return left + right
-    if depth >= QUAD_MAX_DEPTH:
-        raise QuadratureNoConvergence(f"interval halving exhausted depth {QUAD_MAX_DEPTH}")
-    return (_refine(vec_fn, a, mid, left, tol / 2, depth + 1)
-            + _refine(vec_fn, mid, b, right, tol / 2, depth + 1))
+def _sampled(f, source: Algebra, target: Algebra) -> FunctionSampler:
+    return f if isinstance(f, FunctionSampler) else FunctionSampler(f, source, target)
 
 
 def length(path: Path, phi: Morphism, norm_kind: str = "frobenius",
            tol: float | None = None) -> float:
     """Arc length of the pushed path: integral of ||phi(gamma'(t))||."""
-    path.require_smooth()
-    tol = quad_tolerance(tol)
-    tgt = phi.target
-    total = 0.0
-    for seg in path.segments:
-        def speed(ts, seg=seg):
-            vel = phi.matrix @ seg.velocities(ts)
-            return np.array([[tgt.element(vel[:, i]).norm(norm_kind)
-                              for i in range(len(ts))]])
-        total += float(_adaptive(speed, 0.0, 1.0, tol, 0)[0].real)
-    return total
+    return _quadrature(((1, path),), phi, None, tol, norm_kind)[1]
 
 
 def integrate(f, path: Path, phi: Morphism, tol: float | None = None) -> Element:
@@ -259,65 +323,26 @@ def integrate(f, path: Path, phi: Morphism, tol: float | None = None) -> Element
     per-coordinate absolute tolerance.  The submultiplicative estimate
     ||integral|| <= sup ||f|| * L is verified on the computed result.
     """
-    path.require_smooth()
-    tol = quad_tolerance(tol)
-    src, tgt = path.algebra, phi.target
-    m = tgt.dim
-    sup_f = 0.0
-
-    total = np.zeros(m, dtype=complex)
-    arc = 0.0
-    for seg in path.segments:
-        def integrand(ts, seg=seg):
-            nonlocal sup_f
-            pts = seg.points(ts)
-            vel = phi.matrix @ seg.velocities(ts)
-            out = np.empty((m + 1, len(ts)), dtype=complex)
-            for i in range(len(ts)):
-                fval = f(src.element(pts[:, i]))
-                sup_f = max(sup_f, fval.norm("frobenius"))
-                speed_el = tgt.element(vel[:, i])
-                out[:m, i] = tgt.mul_coords(fval.coords, vel[:, i])
-                out[m, i] = speed_el.norm("frobenius")
-            return out
-
-        chunk = _adaptive(integrand, 0.0, 1.0, tol, 0)
-        total += chunk[:m]
-        arc += float(chunk[m].real)
-
-    result = tgt.element(total)
-    bound = sup_f * arc
-    if result.norm("frobenius") > bound * (1 + 1e-6) + 1e-9:
-        raise RuntimeError(
-            f"quadrature result violates the norm estimate "
-            f"({result.norm('frobenius'):.3e} > {bound:.3e}); integrand is likely "
-            "discontinuous on the path")
-    return result
+    return _integrate_terms(f, ((1, path),), phi, tol)
 
 
 def integrate_cycle(f, cycle, phi: Morphism, tol: float | None = None) -> Element:
-    cyc = as_cycle(cycle)
-    out = phi.target.zero()
-    for mult, path in cyc.terms:
-        out = out + mult * integrate(f, path, phi, tol)
-    return out
+    return _integrate_terms(f, as_cycle(cycle).terms, phi, tol)
 
 
-# -- batched coordinate kernels (vectorized over quadrature nodes) -----------
+def _integrate_terms(f, terms, phi: Morphism, tol: float | None) -> Element:
+    tgt = phi.target
+    sampler = _sampled(f, terms[0][1].algebra, tgt)
 
-def _batch_mul(algebra: Algebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Componentwise algebra product of two (m, T) coordinate stacks."""
-    return np.einsum("jki,jt,kt->it", algebra.alpha, a, b)
+    def integrand(pts, vel):
+        fv = sampler.values(pts)
+        return _batch_mul(tgt, fv, vel)[None], _batch_norm(tgt, fv)[None]
 
-
-def _batch_regular(algebra: Algebra, x: np.ndarray) -> np.ndarray:
-    """(m, T) coordinates -> (T, m, m) regular representations."""
-    return np.einsum("jt,jki->tik", x, algebra.alpha)
+    return tgt.element(_quadrature(terms, phi, integrand, tol)[0][0])
 
 
 def _batch_inv(algebra: Algebra, w: np.ndarray) -> np.ndarray:
     """Inverses of a (m, T) coordinate stack; same singularity rule as invert()."""
-    from .algebra import SINGULAR_RATIO
     lams = _batch_regular(algebra, w)
     svals = np.linalg.svd(lams, compute_uv=False)
     if np.any(svals[:, 0] == 0) or np.any(svals[:, -1] < SINGULAR_RATIO * svals[:, 0]):
@@ -326,52 +351,29 @@ def _batch_inv(algebra: Algebra, w: np.ndarray) -> np.ndarray:
     return np.linalg.solve(lams, rhs)[:, :, 0].T
 
 
-def _cauchy_kernel_integral(cycle: Cycle, Z0: Element, phi: Morphism, power: int = 1,
-                            f=None, tol: float | None = None) -> Element:
-    """Integral of f(W) phi(W - Z0)^(-power) dW over the cycle (f optional).
+def _cauchy_kernel_integral(cycle: Cycle, Z0: Element, phi: Morphism, powers: Sequence[int],
+                            f=None, tol: float | None = None) -> np.ndarray:
+    """Integrals of f(W) phi(W - Z0)^(-p) dW over the cycle, one row per p in powers.
 
-    Vectorized over the quadrature nodes; subject to the same norm-estimate
-    post-check as the generic path integral.
+    All powers share the nodes, one kernel inverse and one sample of f (f
+    optional) per refinement level; each has its own norm-estimate check.
     """
-    tol = quad_tolerance(tol)
     tgt = phi.target
-    m = tgt.dim
-    total = np.zeros(m, dtype=complex)
-    sup_f = 0.0
-    arc = 0.0
+    sampler = None if f is None else _sampled(f, cycle.algebra, tgt)
 
-    for mult, path in cycle.terms:
-        path.require_smooth()
-        src = path.algebra
-        for seg in path.segments:
-            def vec(ts, seg=seg):
-                nonlocal sup_f
-                pts = seg.points(ts)
-                vel = phi.matrix @ seg.velocities(ts)
-                w = phi.matrix @ (pts - Z0.coords[:, None])
-                inv = _batch_inv(tgt, w)
-                kernel = inv
-                for _ in range(power - 1):
-                    kernel = _batch_mul(tgt, kernel, inv)
-                if f is not None:
-                    fv = np.column_stack(
-                        [f(src.element(pts[:, i])).coords for i in range(len(ts))])
-                    kernel = _batch_mul(tgt, fv, kernel)
-                sup_f = max(sup_f, float(
-                    np.linalg.norm(_batch_regular(tgt, kernel), axis=(1, 2)).max()))
-                out = np.empty((m + 1, len(ts)), dtype=complex)
-                out[:m] = _batch_mul(tgt, kernel, vel)
-                out[m] = np.linalg.norm(_batch_regular(tgt, vel), axis=(1, 2))
-                return out
+    def integrand(pts, vel):
+        inv = _batch_inv(tgt, phi.matrix @ (pts - Z0.coords[:, None]))
+        stack = [inv]
+        for _ in range(max(powers) - 1):
+            stack.append(_batch_mul(tgt, stack[-1], inv))
+        kernels = [stack[p - 1] for p in powers]
+        if sampler is not None:
+            fv = sampler.values(pts)
+            kernels = [_batch_mul(tgt, fv, k) for k in kernels]
+        return (np.stack([_batch_mul(tgt, k, vel) for k in kernels]),
+                np.stack([_batch_norm(tgt, k) for k in kernels]))
 
-            chunk = _adaptive(vec, 0.0, 1.0, tol, 0)
-            total += mult * chunk[:m]
-            arc += abs(mult) * float(chunk[m].real)
-
-    result = tgt.element(total)
-    if result.norm("frobenius") > sup_f * arc * (1 + 1e-6) + 1e-9:
-        raise RuntimeError("kernel quadrature violates the norm estimate")
-    return result
+    return _quadrature(cycle.terms, phi, integrand, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +437,12 @@ def admissibility(cycle, Z0: Element, phi: Morphism,
 
 @dataclass(frozen=True)
 class SpectralIndex:
-    """Integer winding data per target component, assembled in the target."""
+    """Integer winding data per target component, assembled in the target,
+    with the admissibility report of the point it was computed at."""
 
     values: tuple[int, ...]
     element: Element
+    admissibility: AdmissibilityReport
 
 
 def _winding(path: Path, row: np.ndarray, w0: complex) -> int:
@@ -500,14 +504,14 @@ def index_spectral(cycle, Z0: Element, phi: Morphism,
             wind += mult * _winding(path, row, w0)
         values.append(wind)
         element = element + wind * dec_target.idempotents[ell]
-    return SpectralIndex(tuple(values), element)
+    return SpectralIndex(tuple(values), element, report)
 
 
 def index_quadrature(cycle, Z0: Element, phi: Morphism,
                      tol: float | None = None) -> Element:
     """(1 / 2 pi i) times the integral of dZ / phi(Z - Z0) over the cycle."""
-    out = _cauchy_kernel_integral(as_cycle(cycle), Z0, phi, power=1, tol=tol)
-    return out * (1.0 / (2j * math.pi))
+    out = _cauchy_kernel_integral(as_cycle(cycle), Z0, phi, (1,), tol=tol)[0]
+    return phi.target.element(out * (1.0 / (2j * math.pi)))
 
 
 # ---------------------------------------------------------------------------
@@ -518,15 +522,23 @@ def _spot_check_holomorphy(f, cycle: Cycle, phi: Morphism) -> None:
     path = cycle.terms[0][1]
     seg = path.segments[0]
     src = path.algebra
+    sampler = _sampled(f, src, phi.target)
     for t in (0.17, 0.43, 0.81):
         Z = src.element(seg.points(np.array([t]))[:, 0])
-        sampler = f if isinstance(f, FunctionSampler) else FunctionSampler(f, src, phi.target)
         res = gcru_residual(sampler, phi, Z)
         if res > 1e-2:
             warnings.warn(f"integrand looks non-holomorphic near the path "
                           f"(residual {res:.2e}); Cauchy formulas may not apply",
                           stacklevel=3)
             return
+
+
+def _solve_index(cycle: Cycle, Z0: Element, phi: Morphism, seed: int) -> Element:
+    """Inverse of the spectral index; IndexNotInvertible when a component is zero."""
+    idx = index_spectral(cycle, Z0, phi, seed=seed)
+    if any(v == 0 for v in idx.values):
+        raise IndexNotInvertible(f"index {idx.values} has a zero component")
+    return idx.element.invert()
 
 
 def cif_value(f, cycle, Z0: Element, phi: Morphism, tol: float | None = None,
@@ -536,20 +548,10 @@ def cif_value(f, cycle, Z0: Element, phi: Morphism, tol: float | None = None,
 
     For holomorphic f this equals f(Z0) * Ind(cycle, Z0); with ``solve`` the
     index is computed spectrally and divided out (IndexNotInvertible when a
-    component index is zero), returning f(Z0) itself.
+    component index is zero), returning f(Z0) itself.  This is
+    :func:`cif_derivative` of order 0.
     """
-    cyc = as_cycle(cycle)
-    if spot_check:
-        _spot_check_holomorphy(f, cyc, phi)
-
-    out = _cauchy_kernel_integral(cyc, Z0, phi, power=1, f=f, tol=tol)
-    out = out * (1.0 / (2j * math.pi))
-    if not solve:
-        return out
-    idx = index_spectral(cyc, Z0, phi, seed=seed)
-    if any(v == 0 for v in idx.values):
-        raise IndexNotInvertible(f"index {idx.values} has a zero component")
-    return out * idx.element.invert()
+    return cif_derivative(f, cycle, Z0, 0, phi, tol, solve, spot_check, seed)
 
 
 def cif_derivative(f, cycle, Z0: Element, k: int, phi: Morphism,
@@ -560,14 +562,11 @@ def cif_derivative(f, cycle, Z0: Element, k: int, phi: Morphism,
     if spot_check:
         _spot_check_holomorphy(f, cyc, phi)
 
-    out = _cauchy_kernel_integral(cyc, Z0, phi, power=k + 1, f=f, tol=tol)
-    out = out * (math.factorial(k) / (2j * math.pi))
+    out = _cauchy_kernel_integral(cyc, Z0, phi, (k + 1,), f, tol)[0]
+    out = phi.target.element(out * (math.factorial(k) / (2j * math.pi)))
     if not solve:
         return out
-    idx = index_spectral(cyc, Z0, phi, seed=seed)
-    if any(v == 0 for v in idx.values):
-        raise IndexNotInvertible(f"index {idx.values} has a zero component")
-    return out * idx.element.invert()
+    return out * _solve_index(cyc, Z0, phi, seed)
 
 
 def _scalar_circle_at(cycle: Cycle, Z0: Element) -> CircleSegment | None:
@@ -592,33 +591,33 @@ def taylor_from_contour(f, cycle, Z0: Element, K: int, phi: Morphism,
                         tol: float | None = None, seed: int = 0) -> PowerSeries:
     """Taylor coefficients B_k = f^(k)(Z0)/k! recovered from contour data.
 
-    Requires an invertible index (all spectral windings nonzero); for scalar
-    circles centered at Z0 the classical derivative bound
-    ||f^(k)(Z0)|| <= k!/r^k sup ||f|| is verified on the result.
+    Requires an invertible index (all spectral windings nonzero).  The K + 1
+    kernels phi(W - Z0)^(-k-1) are integrated in one pass that samples f
+    once per node.  For scalar circles centered at Z0 the classical
+    derivative bound ||f^(k)(Z0)|| <= k!/r^k sup ||f|| is verified on the
+    result.
     """
     cyc = as_cycle(cycle)
-    idx = index_spectral(cyc, Z0, phi, seed=seed)
-    if any(v == 0 for v in idx.values):
-        raise IndexNotInvertible(f"index {idx.values} has a zero component")
-    inv_idx = idx.element.invert()
+    tgt = phi.target
+    inv_idx = _solve_index(cyc, Z0, phi, seed)
+    _spot_check_holomorphy(f, cyc, phi)
 
-    coeffs = []
-    for k in range(K + 1):
-        raw = cif_derivative(f, cyc, Z0, k, phi, tol, spot_check=(k == 0))
-        coeffs.append(raw * inv_idx * (1.0 / math.factorial(k)))
+    raw = _cauchy_kernel_integral(cyc, Z0, phi, range(1, K + 2), f, tol)
+    coeffs = _batch_mul(tgt, raw.T * (1.0 / (2j * math.pi)),
+                        np.broadcast_to(inv_idx.coords[:, None], (tgt.dim, K + 1)))
 
     circle = _scalar_circle_at(cyc, Z0)
     if circle is not None:
         ts = np.linspace(0.0, 1.0, 257)
-        sup = max(f(cyc.terms[0][1].algebra.element(c)).norm("operator")
-                  for c in circle.points(ts).T)
-        for k, b in enumerate(coeffs):
-            lhs = (math.factorial(k) * b).norm("operator")
-            bound = math.factorial(k) * sup / circle.radius ** k
-            if lhs > bound * (1 + 1e-6) + 1e-9:
-                raise RuntimeError(
-                    f"derivative bound violated at order {k}: {lhs:.3e} > {bound:.3e}")
-    return PowerSeries.polynomial(phi, Z0, coeffs)
+        f_circle = _sampled(f, cyc.algebra, tgt).values(circle.points(ts))
+        sup = float(_batch_norm(tgt, f_circle, "operator").max())
+        fact = np.array([math.factorial(k) for k in range(K + 1)], dtype=float)
+        lhs = fact * _batch_norm(tgt, coeffs, "operator")
+        bound = fact * sup / circle.radius ** np.arange(K + 1)
+        for k in np.flatnonzero(lhs > bound * (1 + 1e-6) + 1e-9):
+            raise EstimateViolated(
+                f"derivative bound violated at order {k}: {lhs[k]:.3e} > {bound[k]:.3e}")
+    return PowerSeries.polynomial(phi, Z0, [tgt.element(c) for c in coeffs.T])
 
 
 def goursat_residual(f, triangle: tuple[Element, Element, Element], phi: Morphism,

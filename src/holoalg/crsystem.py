@@ -46,29 +46,55 @@ def default_step(Z: Element) -> float:
 
 @dataclass(frozen=True)
 class FunctionSampler:
-    """Deterministic evaluation callback Z |-> f(Z) with declared smooth region."""
+    """Deterministic evaluation callback Z |-> f(Z) with declared smooth region.
+
+    ``batch``, when given, is the same map on coordinate stacks: it takes an
+    (n, T) array whose columns are source points and returns the (m, T)
+    array of their values.  :meth:`values` uses it; without it the scalar
+    ``fn`` is looped over the columns.
+    """
 
     fn: Callable[[Element], Element]
     source: Algebra
     target: Algebra
     smooth_region: str = "entire"
+    batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, Z: Element) -> Element:
+        out = self._guarded(self.fn, Z)
+        if not isinstance(out, Element) or not self.target.compatible(out.algebra):
+            raise SamplerFailure("sampler returned a value outside the target algebra")
+        return out
+
+    def values(self, coords: np.ndarray) -> np.ndarray:
+        """Values at the columns of an (n, T) coordinate stack, as an (m, T) stack."""
+        coords = np.asarray(coords, dtype=complex)
+        shape = (self.target.dim, coords.shape[1])
+        if self.batch is None:
+            out = np.empty(shape, dtype=complex)
+            for t in range(shape[1]):
+                out[:, t] = self(self.source.element(coords[:, t])).coords
+            return out
+        out = self._guarded(self.batch, coords)
+        if not isinstance(out, np.ndarray) or out.shape != shape:
+            raise SamplerFailure(f"batch sampler returned shape {np.shape(out)}, not {shape}")
+        return out.astype(complex, copy=False)
+
+    @staticmethod
+    def _guarded(fn, arg):
         try:
-            out = self.fn(Z)
+            return fn(arg)
         except HoloalgError:
             raise
         except Exception as exc:  # propagate as a library error
             raise SamplerFailure(f"sampler raised {exc!r}") from exc
-        if not isinstance(out, Element) or not self.target.compatible(out.algebra):
-            raise SamplerFailure("sampler returned a value outside the target algebra")
-        return out
 
 
 def conjugation_sampler(algebra: Algebra) -> FunctionSampler:
     """Coordinatewise complex conjugation; the canonical non-holomorphic map."""
     return FunctionSampler(lambda Z: algebra.element(np.conj(Z.coords)),
-                           algebra, algebra, smooth_region="entire (not holomorphic)")
+                           algebra, algebra, smooth_region="entire (not holomorphic)",
+                           batch=np.conj)
 
 
 @dataclass(frozen=True)
@@ -198,6 +224,16 @@ def scheffers_system(phi: Morphism) -> ScheffersSystem:
 # finite-difference engine
 # ---------------------------------------------------------------------------
 
+def _stencil_derivatives(f: FunctionSampler, Z: Element, h: float):
+    """Real-step and imaginary-step central differences along every source
+    coordinate, from one batched evaluation of the 4n-point stencil."""
+    n = f.source.dim
+    steps = np.concatenate([h * np.eye(n), 1j * h * np.eye(n)], axis=1)
+    vals = f.values(Z.coords[:, None] + np.concatenate([steps, -steps], axis=1))
+    diff = vals[:, :2 * n] - vals[:, 2 * n:]
+    return diff[:, :n] / (2 * h), diff[:, n:] / (2j * h)
+
+
 def partial_derivatives(f: FunctionSampler, Z: Element, h: float):
     """Central-difference partials along every source coordinate.
 
@@ -206,19 +242,7 @@ def partial_derivatives(f: FunctionSampler, Z: Element, h: float):
     between the two estimates (zero to O(h^2) iff f is complex-differentiable
     in each coordinate).
     """
-    src = f.source
-    m = f.target.dim
-    n = src.dim
-    d_re = np.empty((m, n), dtype=complex)
-    d_im = np.empty((m, n), dtype=complex)
-    for j in range(n):
-        step = np.zeros(n, dtype=complex)
-        step[j] = h
-        zp, zm = src.element(Z.coords + step), src.element(Z.coords - step)
-        d_re[:, j] = (f(zp).coords - f(zm).coords) / (2 * h)
-        step[j] = 1j * h
-        zp, zm = src.element(Z.coords + step), src.element(Z.coords - step)
-        d_im[:, j] = (f(zp).coords - f(zm).coords) / (2j * h)
+    d_re, d_im = _stencil_derivatives(f, Z, h)
     mismatch = float(np.abs(d_re - d_im).max())
     return (d_re + d_im) / 2, mismatch
 
@@ -244,10 +268,9 @@ def numeric_derivative(f: FunctionSampler, phi: Morphism, Z: Element,
                        h: float | None = None) -> Element:
     """Central difference along the unit direction, i.e. df/dz^1 after re-basing."""
     h = default_step(Z) if h is None else h
-    unit = phi.source.unit_coords
-    zp = phi.source.element(Z.coords + h * unit)
-    zm = phi.source.element(Z.coords - h * unit)
-    return phi.target.element((f(zp).coords - f(zm).coords) / (2 * h))
+    step = h * phi.source.unit_coords
+    vals = f.values(np.column_stack([Z.coords + step, Z.coords - step]))
+    return phi.target.element((vals[:, 0] - vals[:, 1]) / (2 * h))
 
 
 def jacobian_consistency(f: FunctionSampler, Z: Element,
@@ -261,17 +284,7 @@ def jacobian_consistency(f: FunctionSampler, Z: Element,
         raise NonSquare("Jacobian comparison needs an endomorphism sampler")
     h = default_step(Z) if h is None else h
     src = f.source
-    n = src.dim
-    d_re = np.empty((n, n), dtype=complex)
-    d_im = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        step = np.zeros(n, dtype=complex)
-        step[j] = h
-        d_re[:, j] = (f(src.element(Z.coords + step)).coords
-                      - f(src.element(Z.coords - step)).coords) / (2 * h)
-        step[j] = 1j * h
-        d_im[:, j] = (f(src.element(Z.coords + step)).coords
-                      - f(src.element(Z.coords - step)).coords) / (2j * h)
+    d_re, d_im = _stencil_derivatives(f, Z, h)
     jac = (d_re + d_im) / 2
     defect = float(np.linalg.norm(d_re - d_im, "fro")) / 2
     b = src.element(jac @ src.unit_coords)  # f'(Z)

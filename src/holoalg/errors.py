@@ -91,6 +91,14 @@ class NoConvergence(HoloalgError):
     """Iteration exhausted its step budget without meeting tolerance."""
 
 
+# --- a-priori estimates ----------------------------------------------------
+
+class EstimateViolated(HoloalgError):
+    """A computed result breaks an estimate it must satisfy: the norm estimate
+    of a contour integral, the Cauchy derivative bound of a Taylor coefficient,
+    or the norm independence of a series radius."""
+
+
 # --- series -----------------------------------------------------------------
 
 class NotLocalPair(HoloalgError):
@@ -108,7 +116,7 @@ class NotSmooth(HoloalgError):
 
 
 class QuadratureNoConvergence(HoloalgError):
-    """Adaptive quadrature exhausted its depth budget."""
+    """Adaptive quadrature exhausted its depth or panel budget."""
 
 
 class NotAdmissible(HoloalgError):

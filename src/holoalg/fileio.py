@@ -54,6 +54,8 @@ def algebra_from_json(data: Any) -> tuple[Algebra, str]:
         raw = data["alpha"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"algebra file missing dim/alpha: {exc}") from exc
+    if dim < 1:
+        raise SchemaError(f"algebra dim must be >= 1, got {dim}")
     name = str(data.get("name", "algebra"))
     basis = tuple(str(b) for b in data.get("basis", ()))
     alpha = np.empty((dim, dim, dim), dtype=complex)
@@ -64,7 +66,11 @@ def algebra_from_json(data: Any) -> tuple[Algebra, str]:
                     alpha[j, k, i] = _from_pair(raw[j][k][i], f"alpha[{j}][{k}][{i}]")
     except (IndexError, TypeError) as exc:
         raise SchemaError(f"alpha must be an n x n x n nest of pairs: {exc}") from exc
-    return build_algebra(StructureTensor(dim, alpha, basis)), name
+    try:
+        tensor = StructureTensor(dim, alpha, basis)
+    except ValueError as exc:
+        raise SchemaError(f"algebra file: {exc}") from exc
+    return build_algebra(tensor), name
 
 
 def algebra_to_json(algebra: Algebra, name: str = "algebra") -> dict:
@@ -181,14 +187,14 @@ def path_from_json(data: Any, algebra: Algebra) -> Path:
 
 
 def path_to_json(path: Path) -> dict:
+    """The file form of a path, read off its segments."""
     if path.kind == "circle":
-        m = path.meta
-        return {"type": "circle", "center": [_pair(c) for c in m["center"]],
-                "radius": m["radius"], "turns": m["turns"],
-                "direction": [_pair(c) for c in m["direction"]]}
-    key = "points"
-    out = {"type": path.kind,
-           key: [[_pair(c) for c in p] for p in path.meta["points"]]}
+        (seg,) = path.segments
+        return {"type": "circle", "center": [_pair(c) for c in seg.center],
+                "radius": seg.radius, "turns": seg.turns,
+                "direction": [_pair(c) for c in seg.direction]}
+    points = [seg.start for seg in path.segments] + [path.segments[-1].end]
+    out = {"type": path.kind, "points": [[_pair(c) for c in p] for p in points]}
     if path.kind == "samples":
         out["smooth"] = path.smooth
     return out

@@ -16,10 +16,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, Element
+from .algebra import Algebra, Element, _batch_mul
 from .crsystem import FunctionSampler
 from .decomposition import Decomposition, artin_decompose
 from .errors import (
+    EstimateViolated,
     NoConvergence,
     NotLocalPair,
     NotNilpotent,
@@ -141,7 +142,7 @@ class PowerSeries:
             hi = max(est_f, est_o)
             lo = min(est_f, est_o)
             if not (math.isfinite(hi) and (hi - lo) <= 0.05 * hi):
-                raise RuntimeError(
+                raise EstimateViolated(
                     f"radius estimates disagree beyond 5%: {est_f} (frobenius) "
                     f"vs {est_o} (operator)")
         self._radius = est_f
@@ -248,8 +249,19 @@ class PowerSeries:
         return self.evaluate_strict(Z) if self.is_polynomial else self.evaluate(Z)
 
     def sampler(self) -> FunctionSampler:
+        """The series as a sampler; polynomials also evaluate coordinate stacks."""
         return FunctionSampler(self.evaluate_strict, self.phi.source, self.phi.target,
-                               smooth_region="open spectral polycylinder of convergence")
+                               smooth_region="open spectral polycylinder of convergence",
+                               batch=self._horner if self.is_polynomial else None)
+
+    def _horner(self, X: np.ndarray) -> np.ndarray:
+        """Horner's rule on the columns of an (n, T) stack of source points."""
+        tgt = self.phi.target
+        w = self.phi.matrix @ (X - self.center.coords[:, None])
+        acc = np.repeat(self.coeffs[-1].coords[:, None], X.shape[1], axis=1)
+        for c in reversed(self.coeffs[:-1]):
+            acc = _batch_mul(tgt, acc, w) + c.coords[:, None]
+        return acc
 
     # -- calculus ---------------------------------------------------------------
 

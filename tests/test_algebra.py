@@ -273,3 +273,12 @@ def test_rebase_matrix_puts_unit_first(dual):
     V = rebase_matrix(swapped)
     assert np.abs(V[:, 0] - swapped.unit_coords).max() < 1e-12
     assert abs(np.linalg.det(V)) > 1e-12
+
+
+def test_equal_elements_of_separately_built_algebras_hash_alike():
+    a = ha.dual_numbers().element([1, 2])
+    b = ha.dual_numbers().element([1, 2])
+    assert a.algebra is not b.algebra
+    assert a == b and len({a, b}) == 1
+    # -0.0 == 0.0, so the signed zero must not split the hash either
+    assert len({a.algebra.element([0.0, 2]), b.algebra.element([-0.0, 2])}) == 1

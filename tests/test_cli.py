@@ -75,6 +75,26 @@ def test_schema_error_exit_code(files, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("dim", [0, -2])
+def test_nonpositive_dim_is_a_one_line_error(tmp_path, capsys, dim):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"name": "empty", "dim": dim, "basis": [], "alpha": []}))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_estimate_violation_exits_2(files, capsys, monkeypatch):
+    from holoalg import contour
+    mul = contour._batch_mul
+    monkeypatch.setattr(contour, "_batch_mul", lambda *a: 10.0 * mul(*a))
+    code, _, err = run(capsys, "index", "--algebra", files["dual"], "--path",
+                       files["circle"], "--point", files["origin"])
+    assert code == 2
+    assert err.startswith("validation failed: EstimateViolated:")
+    assert "Traceback" not in err
+
+
 def test_decompose_split(files, capsys, split):
     code, out, _ = run(capsys, "decompose", files["split"], "--json")
     assert code == 0
@@ -129,6 +149,19 @@ def test_index_human_line(files, capsys):
                        files["circle"], "--point", files["origin"])
     assert code == 0
     assert out.strip() == "Ind = 1 (spectral) / 1 (quadrature)"
+
+
+def test_index_runs_admissibility_once(files, capsys, monkeypatch):
+    from holoalg import contour
+    calls = []
+    admissibility = contour.admissibility
+    monkeypatch.setattr(contour, "admissibility",
+                        lambda *a, **k: calls.append(1) or admissibility(*a, **k))
+    code, out, _ = run(capsys, "index", "--algebra", files["dual"], "--path",
+                       files["circle"], "--point", files["origin"], "--json")
+    assert code == 0 and len(calls) == 1
+    report = json.loads(out)
+    assert report["admissible"] and abs(report["clearances"][0] - 1.0) < 1e-6
 
 
 def test_index_forbidden_point(files, capsys):

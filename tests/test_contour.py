@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import holoalg as ha
+from holoalg import contour
 from holoalg.contour import _winding
 from holoalg.errors import (
+    EstimateViolated,
     IndexNotInvertible,
     NotAdmissible,
     NotSmooth,
@@ -124,8 +126,31 @@ def test_discontinuous_integrand_exhausts_depth(dual, id_dual):
         return dual.unit() if Z.coords[0].real > 0.30000001 else dual.zero()
     f = ha.FunctionSampler(jump, dual, dual)
     seg = ha.Path.polyline([dual.zero(), dual.unit()])
-    with pytest.raises(QuadratureNoConvergence):
+    with pytest.raises(QuadratureNoConvergence,
+                       match=r"depth 20 at path 0 segment 0, t in \[0\.2999"):
         ha.integrate(f, seg, id_dual, tol=1e-13)
+
+
+def scaled(monkeypatch, name, factor):
+    """Multiply what contour.<name> returns by ``factor``."""
+    original = getattr(contour, name)
+    monkeypatch.setattr(contour, name, lambda *a, **k: factor * original(*a, **k))
+
+
+def test_norm_estimate_violations_are_typed(dual, id_dual, monkeypatch):
+    # a tenfold integrand breaks ||integral|| <= sup ||f|| * L (and its kernel form)
+    scaled(monkeypatch, "_batch_mul", 10.0)
+    seg = ha.Path.polyline([dual.zero(), dual.unit()])
+    with pytest.raises(EstimateViolated, match="norm estimate"):
+        ha.integrate(const_sampler(dual, [1, 0]), seg, id_dual)
+    with pytest.raises(EstimateViolated, match="norm estimate"):
+        ha.index_quadrature(unit_circle(dual), dual.zero(), id_dual)
+
+
+def test_derivative_bound_violation_is_typed(dual, id_dual, cubic, monkeypatch):
+    scaled(monkeypatch, "_cauchy_kernel_integral", 10.0)
+    with pytest.raises(EstimateViolated, match="derivative bound violated at order 0"):
+        ha.taylor_from_contour(cubic.sampler(), unit_circle(dual), dual.zero(), 3, id_dual)
 
 
 def test_quadrature_tolerance_env_override(dual, id_dual, monkeypatch):
@@ -166,6 +191,12 @@ def test_index_spectral_basics(dual, id_dual):
     assert ha.index_spectral(unit_circle(dual, turns=2), dual.zero(), id_dual).values == (2,)
     assert ha.index_spectral(circ, dual.scalar(3.0), id_dual).values == (0,)
     assert ha.index_spectral(circ.reversed(), dual.zero(), id_dual).values == (-1,)
+
+
+def test_index_spectral_carries_its_admissibility_report(dual, id_dual):
+    Z0 = dual.element([0.2, 0.1])
+    idx = ha.index_spectral(unit_circle(dual), Z0, id_dual)
+    assert idx.admissibility == ha.admissibility(unit_circle(dual), Z0, id_dual)
 
 
 def test_index_spectral_rejects_forbidden_points(dual, id_dual):

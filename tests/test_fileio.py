@@ -26,6 +26,11 @@ def test_algebra_schema_errors():
         fileio.algebra_from_json({"dim": 2, "alpha": [[[1, 0]]]})
     with pytest.raises(SchemaError):
         fileio.algebra_from_json({"dim": 1, "alpha": [[["x"]]]})
+    for dim in (0, -1):
+        with pytest.raises(SchemaError, match="dim must be >= 1"):
+            fileio.algebra_from_json({"dim": dim, "alpha": []})
+    with pytest.raises(SchemaError, match="basis label"):
+        fileio.algebra_from_json({"dim": 1, "basis": ["a", "b"], "alpha": [[[[1, 0]]]]})
 
 
 def test_element_round_trip(dual):
@@ -80,6 +85,20 @@ def test_path_round_trips(dual):
     assert back.kind == "samples" and back.smooth
     with pytest.raises(SchemaError):
         fileio.path_from_json({"type": "spiral"}, dual)
+
+
+def test_mapped_and_reversed_paths_round_trip(dual, cline, sigma_dual):
+    circle = ha.Path.circle(dual.element([0.5, 0.5]), 2.0, direction=dual.element([1, 1]))
+    poly = ha.Path.polyline([dual.zero(), dual.unit(), dual.scalar(1j), dual.zero()])
+    cases = [(circle.reversed(), dual), (circle.translate(dual.element([1, -2j])), dual),
+             (circle.pushforward(sigma_dual), cline), (poly.reversed(), dual)]
+    for path, algebra in cases:
+        back = fileio.path_from_json(json.loads(json.dumps(fileio.path_to_json(path))), algebra)
+        assert (back.kind, back.closed) == (path.kind, path.closed)
+        ts = np.linspace(0.0, 1.0, 7)
+        for a, b in zip(back.segments, path.segments, strict=True):
+            assert np.abs(a.points(ts) - b.points(ts)).max() < 1e-12
+            assert np.abs(a.velocities(ts) - b.velocities(ts)).max() < 1e-12
 
 
 def test_cycle_round_trip(dual):

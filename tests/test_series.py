@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import holoalg as ha
-from holoalg.errors import NotLocalPair, NotNilpotent, OutsideScalarDomain
+from holoalg.errors import EstimateViolated, NotLocalPair, NotNilpotent, OutsideScalarDomain
 from holoalg.series import BoundaryIndeterminate, Divergent
 
 from conftest import assert_coords
@@ -45,6 +45,13 @@ def test_radius_norm_independence(id_dual, cc):
     alt = ha.PowerSeries.from_rule(id_dual, dual.zero(),
                                    lambda n: ((-0.5) ** n) * dual.element([1, 1]))
     assert abs(alt.radius() - 2.0) < 0.1
+
+
+def test_radius_disagreement_is_typed(id_dual, monkeypatch):
+    monkeypatch.setattr(ha.PowerSeries, "_radius_estimate",
+                        lambda self, kind: 1.0 if kind == "frobenius" else 2.0)
+    with pytest.raises(EstimateViolated, match="disagree beyond 5%"):
+        ha.geometric_series(id_dual).radius()
 
 
 def test_spectral_divergence_radius_dominates(id_dual):
