@@ -8,10 +8,10 @@ every segment of every path of a cycle, so that each level samples the
 integrand once at the nodes of all its unconverged panels.  A panel passes at
 an absolute per-coordinate tolerance halved per level (default 1e-10,
 overridable through HOLOALG_TOL); QUAD_MAX_DEPTH levels and a budget of
-QUAD_MAX_PANELS panels bound the work.  The generalized index is computed two
-independent ways: winding numbers of the spectral projections by adaptive
-angle summation, and direct quadrature of the reproducing kernel; the two
-must agree to 1e-8 on admissible points.
+QUAD_MAX_PANELS panels per segment bound the work.  The generalized index is
+computed two independent ways: winding numbers of the spectral projections by
+adaptive angle summation, and direct quadrature of the reproducing kernel;
+the two must agree to 1e-8 on admissible points.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ ADMISSIBILITY_RESOLUTION = 1e-4   # path-parameter sampling resolution
 WINDING_MAX_POINTS = 2_000_000
 WINDING_INTEGER_TOL = 0.05
 QUAD_MAX_DEPTH = 20
-QUAD_MAX_PANELS = 10_000   # panels one integral may evaluate, over all its segments
+QUAD_MAX_PANELS = 10_000   # panels one integral may evaluate on each segment
 # entries of the (nodes, m, m) stacks one integrand call may build: larger
 # levels are evaluated in blocks, so memory does not grow with the segments
 QUAD_BLOCK_ENTRIES = 1 << 14
@@ -226,19 +226,20 @@ def _quadrature(terms, phi: Morphism, integrand, tol: float | None,
     stack of integrands and the (B, T) norms of the factors multiplying the
     velocity; ``None`` integrates only the speed.  Returns the (B, m)
     integrals, weighted by multiplicity, and the ``speed_kind`` arc length,
-    weighted by its absolute value.  Each integral is checked against
-    ||integral|| <= sup ||size|| * arc (Frobenius norms).
+    weighted by its absolute value.  Each integral over each path is checked
+    against ||integral|| <= sup ||size|| * arc on that path (Frobenius norms).
     """
     tol = quad_tolerance(tol)
     tgt = phi.target
-    segs, mults, labels = [], [], []
-    for p, (mult, path) in enumerate(terms):
+    segs, owner, labels = [], [], []
+    for p, (_, path) in enumerate(terms):
         path.require_smooth()
         for k, seg in enumerate(path.segments):
             segs.append(seg)
-            mults.append(mult)
+            owner.append(p)
             labels.append(f"path {p} segment {k}")
-    mults = np.array(mults, dtype=float)
+    owner = np.array(owner)
+    mults = np.array([mult for mult, _ in terms], dtype=float)
     sups = []
     block = max(1, QUAD_BLOCK_ENTRIES // (len(_GL_NODES) * tgt.dim ** 2))
 
@@ -258,52 +259,57 @@ def _quadrature(terms, phi: Morphism, integrand, tol: float | None,
         rows = _batch_norm(tgt, vel, speed_kind)[None]
         if integrand is not None:
             values, sizes = integrand(np.concatenate(pts, axis=1), vel)
-            sups.append(sizes.max(axis=1))
+            sup = np.zeros((len(terms), len(sizes)))
+            np.maximum.at(sup, np.repeat(owner[idx], len(_GL_NODES)), sizes.T)
+            sups.append(sup)
             rows = np.concatenate([values.reshape(-1, vel.shape[1]), rows])
         sums = rows.reshape(len(rows), len(idx), len(_GL_NODES)) @ _GL_WEIGHTS
         return (0.5 * (b - a) * sums).T
 
+    def where(seg, lo, hi):
+        return f"{labels[seg]}, t in [{lo:.17g}, {hi:.17g}]"
+
     idx = np.arange(len(segs))
     a, b = np.zeros(len(segs)), np.ones(len(segs))
     whole = panels(idx, a, b)
-    used = len(segs)
-    total = np.zeros(whole.shape[1], dtype=complex)
-    arc = 0.0
-    where = f"{labels[0]}, t in [0, 1]"
+    used = np.ones(len(segs), dtype=int)
+    total = np.zeros((len(terms), whole.shape[1]), dtype=complex)
     for depth in range(QUAD_MAX_DEPTH + 1):
-        if used + 2 * len(idx) > QUAD_MAX_PANELS:
+        used += 2 * np.bincount(idx, minlength=len(segs))
+        if used.max() > QUAD_MAX_PANELS:
+            s = int(np.argmax(used))
             raise QuadratureNoConvergence(
-                f"panel budget {QUAD_MAX_PANELS} exhausted at depth {depth}, worst at {where}")
+                f"panel budget {QUAD_MAX_PANELS} of a segment exhausted at depth {depth}, "
+                f"unconverged at {where(s, a[idx == s].min(), b[idx == s].max())}")
         mid = 0.5 * (a + b)
         idx2 = np.repeat(idx, 2)
         a2 = np.column_stack([a, mid]).ravel()
         b2 = np.column_stack([mid, b]).ravel()
         halves = panels(idx2, a2, b2)
-        used += len(idx2)
         pair = halves[0::2] + halves[1::2]
         err = np.abs(pair - whole).max(axis=1)
         done = err < tol / 2 ** depth
-        total += mults[idx[done]] @ pair[done]
-        arc += float(np.abs(mults[idx[done]]) @ pair[done, -1].real)
+        np.add.at(total, owner[idx[done]], pair[done])
         if done.all():
             break
-        worst = int(np.argmax(err))
-        where = f"{labels[idx[worst]]}, t in [{a[worst]:.17g}, {b[worst]:.17g}]"
         if depth == QUAD_MAX_DEPTH:
-            raise QuadratureNoConvergence(
-                f"interval halving exhausted depth {QUAD_MAX_DEPTH} at {where}")
+            w = int(np.argmax(err))
+            raise QuadratureNoConvergence(f"interval halving exhausted depth "
+                                          f"{QUAD_MAX_DEPTH} at {where(idx[w], a[w], b[w])}")
         keep = np.repeat(~done, 2)
         idx, a, b, whole = idx2[keep], a2[keep], b2[keep], halves[keep]
 
-    integrals = total[:-1].reshape(-1, tgt.dim)
-    if len(integrals):
-        bounds = np.max(sups, axis=0) * arc
-        norms = _batch_norm(tgt, integrals.T)
-        for i in np.flatnonzero(norms > bounds * (1 + 1e-6) + 1e-9):
+    per_path = total[:, :-1].reshape(len(terms), -1, tgt.dim)
+    arcs = total[:, -1].real
+    if per_path.shape[1]:
+        bounds = np.max(sups, axis=0) * arcs[:, None]
+        norms = _batch_norm(tgt, per_path.reshape(-1, tgt.dim).T).reshape(bounds.shape)
+        for p, i in np.argwhere(norms > bounds * (1 + 1e-6) + 1e-9):
             raise EstimateViolated(
-                f"quadrature result {i} violates the norm estimate ({norms[i]:.3e} > "
-                f"{bounds[i]:.3e}); integrand is likely discontinuous on the path")
-    return integrals, arc
+                f"quadrature result {i} on path {p} violates the norm estimate "
+                f"({norms[p, i]:.3e} > {bounds[p, i]:.3e}); integrand is likely "
+                "discontinuous on the path")
+    return np.tensordot(mults, per_path, axes=1), float(np.abs(mults) @ arcs)
 
 
 def _sampled(f, source: Algebra, target: Algebra) -> FunctionSampler:
@@ -499,9 +505,7 @@ def index_spectral(cycle, Z0: Element, phi: Morphism,
         k = fact.tau[ell]
         row = dec_source.spectral_rows[k]
         w0 = complex(row @ Z0.coords)
-        wind = 0
-        for mult, path in cyc.terms:
-            wind += mult * _winding(path, row, w0)
+        wind = sum(mult * _winding(path, row, w0) for mult, path in cyc.terms)
         values.append(wind)
         element = element + wind * dec_target.idempotents[ell]
     return SpectralIndex(tuple(values), element, report)
@@ -520,11 +524,10 @@ def index_quadrature(cycle, Z0: Element, phi: Morphism,
 
 def _spot_check_holomorphy(f, cycle: Cycle, phi: Morphism) -> None:
     path = cycle.terms[0][1]
-    seg = path.segments[0]
     src = path.algebra
     sampler = _sampled(f, src, phi.target)
     for t in (0.17, 0.43, 0.81):
-        Z = src.element(seg.points(np.array([t]))[:, 0])
+        Z = src.element(path.segments[0].points(np.array([t]))[:, 0])
         res = gcru_residual(sampler, phi, Z)
         if res > 1e-2:
             warnings.warn(f"integrand looks non-holomorphic near the path "
@@ -574,15 +577,10 @@ def _scalar_circle_at(cycle: Cycle, Z0: Element) -> CircleSegment | None:
     if len(cycle.terms) != 1 or cycle.terms[0][0] != 1:
         return None
     path = cycle.terms[0][1]
-    if len(path.segments) != 1 or not isinstance(path.segments[0], CircleSegment):
-        return None
     seg = path.segments[0]
-    if seg.turns != 1:
-        return None
-    if np.abs(seg.center - Z0.coords).max() > 1e-12:
-        return None
-    unit = path.algebra.unit_coords
-    if np.abs(seg.direction - unit).max() > 1e-12:
+    if (len(path.segments) != 1 or not isinstance(seg, CircleSegment) or seg.turns != 1
+            or np.abs(seg.center - Z0.coords).max() > 1e-12
+            or np.abs(seg.direction - path.algebra.unit_coords).max() > 1e-12):
         return None
     return seg
 

@@ -128,7 +128,7 @@ class PowerSeries:
 
         The estimate is computed with both the Frobenius and the operator
         norm; they must agree within 5% (norm independence of the radius),
-        else a RuntimeError flags the coefficient rule as too irregular for
+        else EstimateViolated flags the coefficient rule as too irregular for
         the window.
         """
         if self._radius is not None:

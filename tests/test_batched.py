@@ -194,10 +194,23 @@ def test_cycle_integral_is_one_pass(dual, id_dual, cubic):
     assert cycle_calls < len(seen) - cycle_calls
 
 
-def test_panel_budget_names_the_segment(dual, id_dual, cubic, monkeypatch):
-    monkeypatch.setattr(contour, "QUAD_MAX_PANELS", 200)
-    with pytest.raises(QuadratureNoConvergence, match=r"panel budget 200 .*path 0 segment"):
-        ha.integrate(cubic.sampler(), sampled_ellipse(dual), id_dual)
+def test_panel_budget_names_the_segment(dual, id_dual, monkeypatch):
+    # the jump at t = 0.3 keeps one panel unconverged per level: 3 + 4 per level
+    monkeypatch.setattr(contour, "QUAD_MAX_PANELS", 20)
+    f = ha.FunctionSampler(lambda Z: dual.unit() if Z.coords[0].real > 0.30000001
+                           else dual.zero(), dual, dual)
+    path = ha.Path.polyline([dual.scalar(-1.0), dual.zero(), dual.unit()])
+    with pytest.raises(QuadratureNoConvergence,
+                       match=r"panel budget 20 of a segment exhausted at depth 5, "
+                             r"unconverged at path 0 segment 1, t in \[0\.25, 0\.3125\]"):
+        ha.integrate(f, path, id_dual, tol=1e-13)
+
+
+def test_panel_budget_is_per_segment(dual, id_dual, cubic, monkeypatch):
+    # 128 segments of three panels each fit a budget of three panels a segment
+    monkeypatch.setattr(contour, "QUAD_MAX_PANELS", 3)
+    value = ha.integrate(cubic.sampler(), sampled_ellipse(dual), id_dual)
+    assert value.coord_norm() < 1e-10
 
 
 def test_large_levels_are_evaluated_in_blocks(dual, id_dual, cubic, monkeypatch):

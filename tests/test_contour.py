@@ -131,6 +131,16 @@ def test_discontinuous_integrand_exhausts_depth(dual, id_dual):
         ha.integrate(f, seg, id_dual, tol=1e-13)
 
 
+def test_long_sampled_polyline_integrates(cline):
+    # 4000 segments at the admissibility resolution; the integral of conj(Z) dZ
+    # around a closed curve is 2i times the enclosed area
+    n, a, b = 4000, 2.0, 1.2
+    path = sampled_ellipse(cline, a, b, n)
+    value = ha.integrate(ha.conjugation_sampler(cline), path, ha.identity_morphism(cline))
+    area = 0.5 * n * a * b * np.sin(2 * np.pi / n)
+    assert abs(value.coords[0] - 2j * area) < 1e-9
+
+
 def scaled(monkeypatch, name, factor):
     """Multiply what contour.<name> returns by ``factor``."""
     original = getattr(contour, name)
@@ -145,6 +155,14 @@ def test_norm_estimate_violations_are_typed(dual, id_dual, monkeypatch):
         ha.integrate(const_sampler(dual, [1, 0]), seg, id_dual)
     with pytest.raises(EstimateViolated, match="norm estimate"):
         ha.index_quadrature(unit_circle(dual), dual.zero(), id_dual)
+
+
+def test_norm_estimate_is_checked_on_each_path(dual, id_dual, monkeypatch):
+    # the two opposite circles cancel, so only a per-path check sees the violation
+    scaled(monkeypatch, "_batch_mul", 10.0)
+    cycle = ha.Cycle(((1, unit_circle(dual)), (-1, unit_circle(dual))))
+    with pytest.raises(EstimateViolated, match="norm estimate"):
+        ha.integrate_cycle(ha.conjugation_sampler(dual), cycle, id_dual)
 
 
 def test_derivative_bound_violation_is_typed(dual, id_dual, cubic, monkeypatch):
