@@ -62,6 +62,8 @@ class StructureTensor:
         alpha = np.asarray(self.alpha, dtype=complex)
         if alpha.shape != (self.dim,) * 3:
             raise ValueError(f"alpha must have shape {(self.dim,) * 3}, got {alpha.shape}")
+        if not np.isfinite(alpha).all():
+            raise ValueError("alpha must have finite entries")
         alpha = alpha.copy()
         alpha.flags.writeable = False
         object.__setattr__(self, "alpha", alpha)

@@ -9,9 +9,10 @@ integrand once at the nodes of all its unconverged panels.  A panel passes at
 an absolute per-coordinate tolerance halved per level (default 1e-10,
 overridable through HOLOALG_TOL); QUAD_MAX_DEPTH levels and a budget of
 QUAD_MAX_PANELS panels per segment bound the work.  The generalized index is
-computed two independent ways: winding numbers of the spectral projections by
-adaptive angle summation, and direct quadrature of the reproducing kernel;
-the two must agree to 1e-8 on admissible points.
+computed two independent ways: winding numbers of the spectral projections,
+exact because each path kind projects to a segment or a circle in C, and
+direct quadrature of the reproducing kernel; the two must agree to 1e-8 on
+admissible points.
 """
 
 from __future__ import annotations
@@ -34,15 +35,14 @@ from .errors import (
     NotAUnit,
     NotSmooth,
     QuadratureNoConvergence,
+    SchemaError,
     WindingUnresolved,
 )
 from .morphism import Factorization, Morphism, factor
 from .series import PowerSeries
 
 ENDPOINT_TOL = 1e-12
-ADMISSIBILITY_RESOLUTION = 1e-4   # path-parameter sampling resolution
-WINDING_MAX_POINTS = 2_000_000
-WINDING_INTEGER_TOL = 0.05
+ADMISSIBILITY_RESOLUTION = 1e-4   # forbidden band, as a share of the projected length
 QUAD_MAX_DEPTH = 20
 QUAD_MAX_PANELS = 10_000   # panels one integral may evaluate on each segment
 # entries of the (nodes, m, m) stacks one integrand call may build: larger
@@ -53,17 +53,24 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def quad_tolerance(tol: float | None = None) -> float:
-    if tol is not None:
-        return tol
-    env = os.environ.get("HOLOALG_TOL")
-    return float(env) if env else 1e-10
+    """``tol``, else HOLOALG_TOL, else 1e-10; SchemaError unless positive and finite."""
+    raw = tol if tol is not None else os.environ.get("HOLOALG_TOL") or 1e-10
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise SchemaError(f"quadrature tolerance {raw!r} (tol or HOLOALG_TOL) "
+                          "is not a positive finite number")
+    return value
 
 
 # ---------------------------------------------------------------------------
 # paths and cycles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# eq=False: segments and paths hold arrays, so they compare and hash by identity
+@dataclass(frozen=True, eq=False)
 class CircleSegment:
     """t |-> center + radius * exp(2 pi i turns t) * direction, t in [0, 1]."""
 
@@ -82,12 +89,8 @@ class CircleSegment:
         coef = self.radius * 2j * np.pi * self.turns
         return coef * phase[None, :] * self.direction[:, None]
 
-    @property
-    def suggested_samples(self) -> int:
-        return max(64, 32 * abs(self.turns))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineSegment:
     algebra: Algebra
     start: np.ndarray
@@ -99,12 +102,8 @@ class LineSegment:
     def velocities(self, ts: np.ndarray) -> np.ndarray:
         return np.repeat((self.end - self.start)[:, None], len(ts), axis=1)
 
-    @property
-    def suggested_samples(self) -> int:
-        return 16
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Path:
     """A piecewise-C1 parametric path; closed-form kinds carry exact derivatives."""
 
@@ -409,34 +408,23 @@ def admissibility(cycle, Z0: Element, phi: Morphism,
                   fact: Factorization | None = None, seed: int = 0) -> AdmissibilityReport:
     """Distance of each active spectral projection of Z0 to the projected cycle.
 
-    Sampling density follows the path-parameter resolution 1e-4; a clearance
-    is accepted only when it exceeds twice the local sample spacing, so
-    points on (or numerically indistinguishable from) the projected support
-    are forbidden.
+    Clearances are exact distances to the projected curves.  The threshold
+    of component k is 2 * ADMISSIBILITY_RESOLUTION * L_k, with L_k the
+    longest projected length of a path of the cycle; a clearance must exceed
+    it, so points on (or numerically indistinguishable from) the projected
+    support are forbidden.
     """
     cyc = as_cycle(cycle)
     dec_source, _, fact = _context(phi, dec_source, dec_target, fact, seed)
     active = fact.active_source_components
-    total_points = int(round(1.0 / ADMISSIBILITY_RESOLUTION)) + 1
-
     clearances = []
     thresholds = []
     for k in active:
         row = dec_source.spectral_rows[k]
         w0 = complex(row @ Z0.coords)
-        clearance = math.inf
-        spacing = 0.0
-        for _, path in cyc.terms:
-            # The parameter resolution is spread over the whole path.
-            per_seg = max(32, total_points // max(len(path.segments), 1))
-            ts = np.linspace(0.0, 1.0, per_seg)
-            for seg in path.segments:
-                w = row @ seg.points(ts)
-                clearance = min(clearance, float(np.abs(w - w0).min()))
-                if len(w) > 1:
-                    spacing = max(spacing, float(np.abs(np.diff(w)).max()))
-        clearances.append(clearance)
-        thresholds.append(2.0 * spacing)
+        geometry = [_projection(path, row, w0) for _, path in cyc.terms]
+        clearances.append(min(dist for _, dist, _ in geometry))
+        thresholds.append(2.0 * ADMISSIBILITY_RESOLUTION * max(arc for _, _, arc in geometry))
     ok = all(c > t for c, t in zip(clearances, thresholds))
     return AdmissibilityReport(ok, active, tuple(clearances), tuple(thresholds))
 
@@ -451,37 +439,45 @@ class SpectralIndex:
     admissibility: AdmissibilityReport
 
 
-def _winding(path: Path, row: np.ndarray, w0: complex) -> int:
-    """Winding number of the projected loop by adaptive angle summation."""
-    total = 0.0
-    budget = WINDING_MAX_POINTS
-    for seg in path.segments:
-        samples = seg.suggested_samples
-        ts = np.linspace(0.0, 1.0, samples + 1)
-        stack = [(ts[i], ts[i + 1]) for i in range(samples)]
-        vals = {t: complex(row @ seg.points(np.array([t]))[:, 0]) - w0 for t in ts}
+def _projection(path: Path, row: np.ndarray, w0: complex) -> tuple[int, float, float]:
+    """Winding number about w0, distance to w0 and length of row(path).
 
-        while stack:
-            t0, t1 = stack.pop()
-            v0, v1 = vals[t0], vals[t1]
-            inc = np.angle(v1 / v0) if v0 != 0 else math.nan
-            if not math.isfinite(inc) or abs(inc) >= math.pi / 2:
-                if budget <= 0:
-                    raise WindingUnresolved("densification budget exhausted")
-                tm = 0.5 * (t0 + t1)
-                if t1 - t0 < 1e-14:
-                    raise WindingUnresolved("projected point sits on the curve")
-                vals[tm] = complex(row @ seg.points(np.array([tm]))[:, 0]) - w0
-                stack.append((t0, tm))
-                stack.append((tm, t1))
-                budget -= 1
-            else:
-                total += inc
-    winding = total / (2 * math.pi)
-    nearest = round(winding)
-    if abs(winding - nearest) > WINDING_INTEGER_TOL:
-        raise WindingUnresolved(f"angle sum {winding} is not near an integer")
-    return int(nearest)
+    A line segment projects to [a, b] (relative to w0), which subtends the
+    principal angle arg(b / a) (Hormann & Agathos, Comput. Geom. 20, 2001); a
+    circle segment projects to the circle about c of radius
+    R = radius * |row @ direction|, wound ``turns`` times, so it adds
+    ``turns`` when |w0 - c| < R (with zero turns it stays at its start).
+    """
+    lines = [seg for seg in path.segments if isinstance(seg, LineSegment)]
+    circles = [seg for seg in path.segments if isinstance(seg, CircleSegment)]
+    angle, dist, arc = 0.0, math.inf, 0.0
+    if lines:
+        a = np.array([seg.start for seg in lines]) @ row - w0
+        b = np.array([seg.end for seg in lines]) @ row - w0
+        d = b - a
+        sq = np.abs(d) ** 2
+        t = np.clip(-(a * d.conj()).real / np.where(sq > 0, sq, 1.0), 0.0, 1.0)
+        angle += float(np.angle(b * a.conj()).sum())
+        dist = float(np.abs(a + t * d).min())
+        arc += float(np.sqrt(sq).sum())
+    if circles:
+        c = np.array([seg.center for seg in circles]) @ row - w0
+        r = np.array([seg.radius * seg.direction for seg in circles]) @ row
+        rho, radii = np.abs(c), np.abs(r)
+        turns = np.array([seg.turns for seg in circles])
+        angle += 2 * math.pi * float(turns[rho < radii].sum())
+        # a circle of zero turns stays at its start point c + r
+        dist = min(dist, float(np.where(turns != 0, np.abs(rho - radii), np.abs(c + r)).min()))
+        arc += 2 * math.pi * float(radii @ np.abs(turns))
+    return round(angle / (2 * math.pi)), dist, arc
+
+
+def _winding(path: Path, row: np.ndarray, w0: complex) -> int:
+    """Winding number of the projected loop about w0 (closed forms, see _projection)."""
+    winding, dist, _ = _projection(path, row, w0)
+    if dist <= ENDPOINT_TOL:
+        raise WindingUnresolved(f"projected point sits on the curve (distance {dist:.2e})")
+    return winding
 
 
 def index_spectral(cycle, Z0: Element, phi: Morphism,

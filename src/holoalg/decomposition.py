@@ -39,12 +39,17 @@ def _null_space(mat: np.ndarray, tol: float = NIL_RANK_TOL) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def _column_space(mat: np.ndarray, tol: float = NIL_RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical column space of ``mat``."""
+def _column_space(mat: np.ndarray, tol: float = NIL_RANK_TOL,
+                  scale: float | None = None) -> np.ndarray:
+    """Orthonormal basis (columns) of the numerical column space of ``mat``.
+
+    Singular values up to ``tol`` times ``scale`` (default: the largest
+    singular value) count as zero.
+    """
     if mat.size == 0 or mat.shape[1] == 0:
         return np.zeros((mat.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    cutoff = tol * (s[0] if s.size else 0.0)
+    cutoff = tol * (s[0] if scale is None else scale)
     rank = int(np.sum(s > cutoff))
     return u[:, :rank]
 
@@ -110,9 +115,6 @@ class Decomposition:
         """Coordinates of pr_k(z) in the k-th component basis."""
         basis = self.component_bases[k]
         return basis.conj().T @ self.project(z, k).coords
-
-    def from_component_coords(self, coords: np.ndarray, k: int) -> Element:
-        return self.algebra.element(self.component_bases[k] @ coords)
 
     def direct_sum_norm(self, z: Element) -> float:
         """max_k of the operator norm of the multiplication action on A_k."""
@@ -205,7 +207,8 @@ def _finish(algebra: Algebra, nil_basis: np.ndarray,
         lam_e = e.regular_matrix()
         comp = _column_space(lam_e)
         if nil_basis.shape[1]:
-            ideal = _column_space(lam_e @ nil_basis)
+            # cut off against |e|, not the product: e * nil is 0 on a reduced factor
+            ideal = _column_space(lam_e @ nil_basis, scale=np.linalg.norm(lam_e))
         else:
             ideal = np.zeros((algebra.dim, 0), dtype=complex)
         # sigma(a_j): decompose a_j * e = sigma(a_j) e + (ideal part).
@@ -260,19 +263,24 @@ def profile(algebra: Algebra, dec: Decomposition) -> Profile:
     The height nu is the smallest power annihilating the maximal ideal;
     widths are d_i = dim m^i - dim m^(i+1).  The filtering basis columns are
     ordered by decreasing ideal power (vectors of m^(nu-1) first, the
-    component unit last).
+    component unit last).  Ranks are cut off against the size of the structure
+    constants, which bounds every product of unit vectors, so a power of the
+    ideal made only of rounding error has rank 0.
     """
+    scale = float(np.linalg.norm(algebra.alpha))
     comps = []
     for k in range(dec.count):
         ideal = dec.maximal_ideal_bases[k]
         layers = [ideal]
         while layers[-1].shape[1]:
+            if len(layers) > algebra.dim:
+                raise NotNilpotent(f"maximal ideal {k} has no vanishing power "
+                                   f"within {algebra.dim + 1} layers")
             prev = layers[-1]
             products = np.column_stack(
                 [algebra.mul_coords(ideal[:, a], prev[:, b])
-                 for a in range(ideal.shape[1]) for b in range(prev.shape[1])]
-            ) if prev.shape[1] else prev
-            layers.append(_column_space(products))
+                 for a in range(ideal.shape[1]) for b in range(prev.shape[1])])
+            layers.append(_column_space(products, scale=scale))
         height = len(layers)  # m^height = 0, m^(height-1) != 0
         dims = [layer.shape[1] for layer in layers]
         widths = tuple(dims[i] - dims[i + 1] for i in range(height - 1))

@@ -124,7 +124,7 @@ class NotAdmissible(HoloalgError):
 
 
 class WindingUnresolved(HoloalgError):
-    """Angle summation could not resolve an integer winding number."""
+    """The point lies on the projected curve, so its winding number is undefined."""
 
 
 class IndexNotInvertible(HoloalgError):

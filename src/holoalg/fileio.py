@@ -8,6 +8,7 @@ vector.  Malformed content raises :class:`SchemaError`.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path as FsPath
 from typing import Any
 
@@ -26,8 +27,9 @@ def _pair(z: complex) -> list[float]:
 
 def _from_pair(data: Any, where: str) -> complex:
     if (not isinstance(data, (list, tuple)) or len(data) != 2
-            or not all(isinstance(x, (int, float)) for x in data)):
-        raise SchemaError(f"{where}: expected a [re, im] pair, got {data!r}")
+            or not all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
+                       for x in data)):
+        raise SchemaError(f"{where}: expected a [re, im] pair of finite numbers, got {data!r}")
     return complex(data[0], data[1])
 
 

@@ -50,17 +50,6 @@ class Morphism:
 
     __call__ = apply
 
-    def apply_coords(self, coords: np.ndarray) -> np.ndarray:
-        return self.matrix @ coords
-
-    def gamma_matrix(self, j: int) -> np.ndarray:
-        """Gamma_j, the m x m matrix (gamma^i_{jk})_{i,k}."""
-        return self.gamma[j]
-
-    @property
-    def is_endomorphism(self) -> bool:
-        return self.source.compatible(self.target)
-
 
 def build_morphism(source: Algebra, target: Algebra, matrix) -> Morphism:
     """Validate a candidate matrix and derive its structure constants.

@@ -97,6 +97,14 @@ def test_element_shape_validation(dual):
         dual.element([1])
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_structure_tensor_rejects_non_finite_entries(dual, entry):
+    alpha = dual.alpha.copy()
+    alpha[1, 1, 0] = entry
+    with pytest.raises(ValueError, match="finite"):
+        StructureTensor(2, alpha)
+
+
 # -- regular representation ----------------------------------------------------
 
 def test_regular_representation_of_unit(dual, split, t3):

@@ -84,6 +84,31 @@ def test_nonpositive_dim_is_a_one_line_error(tmp_path, capsys, dim):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+def one_line_error(code, out, err):
+    return code == 1 and out == "" and err.startswith("error:") \
+        and len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("-inf"), 10 ** 400])
+def test_non_finite_alpha_is_a_one_line_error(tmp_path, capsys, dual, entry):
+    data = fileio.algebra_to_json(dual, "dual")
+    data["alpha"][1][1][0] = [entry, 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", str(path))
+    assert one_line_error(code, out, err)
+    assert "alpha[1][1][0]" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1e-10"])
+def test_bad_tolerance_is_a_one_line_error(files, capsys, monkeypatch, value):
+    monkeypatch.setenv("HOLOALG_TOL", value)
+    code, out, err = run(capsys, "index", "--algebra", files["dual"], "--path",
+                         files["circle"], "--point", files["origin"])
+    assert one_line_error(code, out, err)
+    assert "HOLOALG_TOL" in err
+
+
 def test_estimate_violation_exits_2(files, capsys, monkeypatch):
     from holoalg import contour
     mul = contour._batch_mul

@@ -12,6 +12,7 @@ from holoalg.errors import (
     NotAdmissible,
     NotSmooth,
     QuadratureNoConvergence,
+    SchemaError,
     WindingUnresolved,
 )
 
@@ -69,6 +70,19 @@ def test_unsmooth_samples_rejected(dual, id_dual):
         ha.integrate(const_sampler(dual, [1, 0]), rough, id_dual)
     # winding only needs positions
     assert _winding(rough, np.array([1, 0], dtype=complex), 0j) == 1
+
+
+def test_paths_compare_and_hash_by_identity(dual):
+    p = unit_circle(dual)
+    q = unit_circle(dual)
+    assert p == p and p != q
+    assert {p, p} == {p} and len({p, q}) == 2
+    assert p.segments[0] == p.segments[0] and p.segments[0] != q.segments[0]
+    square = square_loop(dual)
+    assert len({square, *square.segments}) == 5
+    cycle = ha.Cycle(((1, p), (-1, square)))
+    assert hash(cycle) == hash(ha.Cycle(((1, p), (-1, square))))
+    assert cycle in {cycle}
 
 
 # -- lengths -----------------------------------------------------------------------
@@ -176,6 +190,21 @@ def test_quadrature_tolerance_env_override(dual, id_dual, monkeypatch):
     assert quad_tolerance() == 1e-10
     monkeypatch.setenv("HOLOALG_TOL", "1e-6")
     assert quad_tolerance() == 1e-6
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan", "-inf", "0", "-1e-6"])
+def test_quadrature_tolerance_must_be_positive_and_finite(monkeypatch, bad):
+    from holoalg.contour import quad_tolerance
+    monkeypatch.setenv("HOLOALG_TOL", bad)
+    with pytest.raises(SchemaError, match="HOLOALG_TOL"):
+        quad_tolerance()
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+def test_quadrature_tolerance_argument_must_be_positive_and_finite(tol):
+    from holoalg.contour import quad_tolerance
+    with pytest.raises(SchemaError):
+        quad_tolerance(tol)
 
 
 # -- admissibility -----------------------------------------------------------------------

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import holoalg as ha
+from holoalg.errors import NotNilpotent
 
 from conftest import assert_coords
+from test_batched import random_basis_sum
 
 
 # -- nilradical ----------------------------------------------------------------
@@ -239,6 +243,26 @@ def test_profile_widths_sum(dual, t3, dual_plus_c):
         prof = ha.profile(algebra, dec)
         for comp, dim in zip(prof.components, dec.component_dims):
             assert sum(comp.widths) + 1 == dim
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_profile_in_a_random_unitary_basis(dual, t3, dual_plus_c, seed):
+    # powers of the ideal made only of rounding error must count as zero
+    for algebra in (dual, t3, dual_plus_c):
+        moved = random_basis_sum(np.random.default_rng(seed), algebra)
+        expected = ha.profile(algebra, ha.artin_decompose(algebra))
+        prof = ha.profile(moved, ha.artin_decompose(moved))
+        assert sorted(prof.heights) == sorted(expected.heights)
+        assert sorted(c.widths for c in prof.components) == \
+            sorted(c.widths for c in expected.components)
+
+
+def test_profile_rejects_an_ideal_without_vanishing_power(dual):
+    # a unit in place of the maximal ideal never multiplies down to zero
+    dec = ha.artin_decompose(dual)
+    fake = dataclasses.replace(dec, maximal_ideal_bases=(dual.unit_coords[:, None],))
+    with pytest.raises(NotNilpotent, match="within 3 layers"):
+        ha.profile(dual, fake)
 
 
 def test_filtering_basis_depth_order(t3):
