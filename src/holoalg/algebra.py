@@ -31,7 +31,8 @@ from .errors import (
 IDENTITY_TOL = 1e-12
 # Residual bound for the least-squares unit solve.
 UNIT_RESIDUAL_TOL = 1e-10
-# Singular-value ratio below which the regular representation counts as singular.
+# Singular-value ratio below which the regular representation counts as singular
+# (the contour kernel compares min |sigma_ell(z)| / ||lambda(z)||_F with it).
 SINGULAR_RATIO = 1e-12
 
 NORM_KINDS = ("frobenius", "operator", "direct-sum")
@@ -110,6 +111,8 @@ class Algebra:
         self.unit_coords = _as_complex_vector(unit_coords, tensor.dim)
         self.unit_coords.flags.writeable = False
         self.chosen_norm = chosen_norm
+        # artin_decompose's results, by seed (see decomposition.artin_decompose)
+        self._decompositions: dict = {}
 
     # -- basic data ----------------------------------------------------------
 
@@ -348,19 +351,30 @@ class Element:
 # -- coordinate stacks: many elements at once, one column each ---------------
 
 def _batch_mul(algebra: Algebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Columnwise algebra product of two (n, T) coordinate stacks."""
-    return np.einsum("jki,jt,kt->it", algebra.alpha, a, b)
+    """Columnwise algebra product of two (n, T) coordinate stacks: lambda(a_t) b_t."""
+    return (_batch_regular(algebra, a) @ b.T[:, :, None])[:, :, 0].T
 
 
 def _batch_regular(algebra: Algebra, x: np.ndarray) -> np.ndarray:
-    """(n, T) coordinates -> (T, n, n) regular representations."""
-    return np.einsum("jt,jki->tik", x, algebra.alpha)
+    """(n, T) coordinates -> (T, n, n) regular representations, one matrix product."""
+    n = algebra.dim
+    flat = algebra.alpha.transpose(0, 2, 1).reshape(n, n * n)   # row j: lambda(a_j)
+    return (x.T @ flat).reshape(-1, n, n)
 
 
 def _batch_norm(algebra: Algebra, x: np.ndarray, kind: str = "frobenius") -> np.ndarray:
-    """Element.norm of every column of an (n, T) stack, for the two matrix norms."""
+    """Element.norm of every column of an (n, T) stack, for the two matrix norms.
+
+    The Frobenius norm is the Gram form ||lambda(x)||^2 = sum conj(x) (conj(G) x)
+    with G = flat flat^H and flat the (n, n^2) stack of lambda(a_j): G is
+    Hermitian, and conj(G), not G, is right on complex structure constants.
+    """
     if kind == "frobenius":
-        return np.linalg.norm(_batch_regular(algebra, x), axis=(1, 2))
+        n = algebra.dim
+        flat = algebra.alpha.reshape(n, n * n)
+        gram = flat.conj() @ flat.T     # conj(flat flat^H)
+        sq = (x.conj() * (gram @ x)).sum(axis=0).real
+        return np.sqrt(np.maximum(sq, 0.0))
     if kind == "operator":
         return np.linalg.norm(_batch_regular(algebra, x), 2, axis=(1, 2))
     if kind == "direct-sum":

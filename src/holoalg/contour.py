@@ -346,28 +346,35 @@ def _integrate_terms(f, terms, phi: Morphism, tol: float | None) -> Element:
     return tgt.element(_quadrature(terms, phi, integrand, tol)[0][0])
 
 
-def _batch_inv(algebra: Algebra, w: np.ndarray) -> np.ndarray:
-    """Inverses of a (m, T) coordinate stack; same singularity rule as invert()."""
-    lams = _batch_regular(algebra, w)
-    svals = np.linalg.svd(lams, compute_uv=False)
-    if np.any(svals[:, 0] == 0) or np.any(svals[:, -1] < SINGULAR_RATIO * svals[:, 0]):
+def _batch_inv(dec: Decomposition, w: np.ndarray) -> np.ndarray:
+    """Inverses of an (m, T) coordinate stack of ``dec.algebra``, one batched solve.
+
+    A column is a unit exactly when none of its characters sigma_ell(w) is
+    zero; it counts as NotAUnit when min_ell |sigma_ell(w)| <= SINGULAR_RATIO *
+    ||lambda(w)||_F, a scale-invariant rule that zero and nilpotent columns fail.
+    """
+    algebra = dec.algebra
+    chars = np.abs(dec.spectral_rows @ w).min(axis=0)
+    if np.any(chars <= SINGULAR_RATIO * _batch_norm(algebra, w)):
         raise NotAUnit("kernel hit a non-invertible value on the path")
     rhs = np.broadcast_to(algebra.unit_coords[:, None], (w.shape[1], algebra.dim, 1))
-    return np.linalg.solve(lams, rhs)[:, :, 0].T
+    return np.linalg.solve(_batch_regular(algebra, w), rhs)[:, :, 0].T
 
 
 def _cauchy_kernel_integral(cycle: Cycle, Z0: Element, phi: Morphism, powers: Sequence[int],
-                            f=None, tol: float | None = None) -> np.ndarray:
+                            f=None, tol: float | None = None, seed: int = 0) -> np.ndarray:
     """Integrals of f(W) phi(W - Z0)^(-p) dW over the cycle, one row per p in powers.
 
     All powers share the nodes, one kernel inverse and one sample of f (f
     optional) per refinement level; each has its own norm-estimate check.
+    The kernel's unit test uses the target's decomposition with ``seed``.
     """
     tgt = phi.target
+    dec = artin_decompose(tgt, seed=seed)
     sampler = None if f is None else _sampled(f, cycle.algebra, tgt)
 
     def integrand(pts, vel):
-        inv = _batch_inv(tgt, phi.matrix @ (pts - Z0.coords[:, None]))
+        inv = _batch_inv(dec, phi.matrix @ (pts - Z0.coords[:, None]))
         stack = [inv]
         for _ in range(max(powers) - 1):
             stack.append(_batch_mul(tgt, stack[-1], inv))
@@ -509,7 +516,13 @@ def index_spectral(cycle, Z0: Element, phi: Morphism,
 
 def index_quadrature(cycle, Z0: Element, phi: Morphism,
                      tol: float | None = None) -> Element:
-    """(1 / 2 pi i) times the integral of dZ / phi(Z - Z0) over the cycle."""
+    """(1 / 2 pi i) times the integral of dZ / phi(Z - Z0) over the cycle.
+
+    The value comes from the quadrature alone.  The target is decomposed
+    (seed 0) only to certify that phi(W - Z0) is a unit at every node:
+    NotAUnit when it is not, ClusteringAmbiguous when the target cannot be
+    decomposed.
+    """
     out = _cauchy_kernel_integral(as_cycle(cycle), Z0, phi, (1,), tol=tol)[0]
     return phi.target.element(out * (1.0 / (2j * math.pi)))
 
@@ -556,12 +569,16 @@ def cif_value(f, cycle, Z0: Element, phi: Morphism, tol: float | None = None,
 def cif_derivative(f, cycle, Z0: Element, k: int, phi: Morphism,
                    tol: float | None = None, solve: bool = False,
                    spot_check: bool = True, seed: int = 0) -> Element:
-    """(k! / 2 pi i) integral of f(W) / phi(W - Z0)^(k+1) dW; k = 0 is cif_value."""
+    """(k! / 2 pi i) integral of f(W) / phi(W - Z0)^(k+1) dW; k = 0 is cif_value.
+
+    The target is decomposed with ``seed`` to certify the kernel at every
+    node (ClusteringAmbiguous when it cannot be).
+    """
     cyc = as_cycle(cycle)
     if spot_check:
         _spot_check_holomorphy(f, cyc, phi)
 
-    out = _cauchy_kernel_integral(cyc, Z0, phi, (k + 1,), f, tol)[0]
+    out = _cauchy_kernel_integral(cyc, Z0, phi, (k + 1,), f, tol, seed)[0]
     out = phi.target.element(out * (math.factorial(k) / (2j * math.pi)))
     if not solve:
         return out
@@ -587,16 +604,17 @@ def taylor_from_contour(f, cycle, Z0: Element, K: int, phi: Morphism,
 
     Requires an invertible index (all spectral windings nonzero).  The K + 1
     kernels phi(W - Z0)^(-k-1) are integrated in one pass that samples f
-    once per node.  For scalar circles centered at Z0 the classical
-    derivative bound ||f^(k)(Z0)|| <= k!/r^k sup ||f|| is verified on the
-    result.
+    once per node; the target is decomposed with ``seed`` for the index and
+    the kernel (ClusteringAmbiguous when it cannot be).  For scalar circles
+    centered at Z0 the classical derivative bound
+    ||f^(k)(Z0)|| <= k!/r^k sup ||f|| is verified on the result.
     """
     cyc = as_cycle(cycle)
     tgt = phi.target
     inv_idx = _solve_index(cyc, Z0, phi, seed)
     _spot_check_holomorphy(f, cyc, phi)
 
-    raw = _cauchy_kernel_integral(cyc, Z0, phi, range(1, K + 2), f, tol)
+    raw = _cauchy_kernel_integral(cyc, Z0, phi, range(1, K + 2), f, tol, seed)
     coeffs = _batch_mul(tgt, raw.T * (1.0 / (2j * math.pi)),
                         np.broadcast_to(inv_idx.coords[:, None], (tgt.dim, K + 1)))
 

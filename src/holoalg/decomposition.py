@@ -89,6 +89,13 @@ class Decomposition:
     spectral_rows: np.ndarray
     nilradical_basis: np.ndarray
 
+    def __post_init__(self):
+        # a decomposition is cached on its algebra and shared: freeze its arrays
+        for name in ("component_bases", "maximal_ideal_bases"):
+            object.__setattr__(self, name, tuple(map(_frozen, getattr(self, name))))
+        for name in ("spectral_rows", "nilradical_basis"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+
     @property
     def count(self) -> int:
         return len(self.idempotents)
@@ -126,6 +133,12 @@ class Decomposition:
         return best
 
 
+def _frozen(arr) -> np.ndarray:
+    arr = np.array(arr, dtype=complex)
+    arr.flags.writeable = False
+    return arr
+
+
 def _quotient_setup(algebra: Algebra, nil_basis: np.ndarray):
     """Complement basis of the nilradical and the projection solving along it."""
     n = algebra.dim
@@ -146,9 +159,17 @@ def artin_decompose(algebra: Algebra, seed: int = 0) -> Decomposition:
     The component count M is the number of distinct eigenvalues of the
     generic element's multiplication matrix on the semisimple quotient;
     a clustering closer than 1e-8 triggers up to three seeded retries
-    before :class:`ClusteringAmbiguous` is raised.
+    before :class:`ClusteringAmbiguous` is raised.  Results are cached on
+    the algebra per (algebra, seed), so repeated calls return the same
+    read-only object; a call that raises caches nothing.
     """
-    n = algebra.dim
+    cache = algebra._decompositions
+    if seed not in cache:
+        cache[seed] = _decompose(algebra, seed)
+    return cache[seed]
+
+
+def _decompose(algebra: Algebra, seed: int) -> Decomposition:
     nil_basis = nilradical(algebra)
     complement, project = _quotient_setup(algebra, nil_basis)
     m = complement.shape[1]

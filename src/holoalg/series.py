@@ -75,7 +75,7 @@ class PowerSeries:
         self.coeffs = tuple(coeffs) if coeffs is not None else None
         self.rule = rule
         self.rule_bound = rule_bound
-        self._ctx: tuple[Decomposition, Decomposition, Factorization] | None = None
+        self._ctx: dict[int, tuple[Decomposition, Decomposition, Factorization]] = {}
         self._component_radii: np.ndarray | None = None
         self._radius: float | None = None
 
@@ -111,12 +111,12 @@ class PowerSeries:
     # -- context ----------------------------------------------------------------
 
     def context(self, seed: int = 0):
-        """(source decomposition, target decomposition, factorization), cached."""
-        if self._ctx is None:
+        """(source decomposition, target decomposition, factorization), cached per seed."""
+        if seed not in self._ctx:
             dec_a = artin_decompose(self.phi.source, seed=seed)
             dec_b = artin_decompose(self.phi.target, seed=seed)
-            self._ctx = (dec_a, dec_b, factor(self.phi, dec_a, dec_b))
-        return self._ctx
+            self._ctx[seed] = (dec_a, dec_b, factor(self.phi, dec_a, dec_b))
+        return self._ctx[seed]
 
     # -- radii -------------------------------------------------------------------
 

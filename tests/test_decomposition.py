@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import holoalg as ha
+from holoalg import decomposition
 from holoalg.errors import NotNilpotent
 
 from conftest import assert_coords
@@ -103,16 +104,64 @@ def test_reconstruction_from_components(dual, split, t3, dual_plus_c):
             assert (back - z).coord_norm() < 1e-10
 
 
-def test_clustering_ambiguous_on_degenerate_generic_element(split, monkeypatch):
-    # force the 'random' generic element to be scalar: all quotient eigenvalues
-    # coincide, every retry fails, and the ambiguity is reported
-    class Flat:
-        def standard_normal(self, n):
-            return np.zeros(n)
+class _Flat:
+    """A generator whose 'random' elements are all zero."""
 
-    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: Flat())
+    def standard_normal(self, n):
+        return np.zeros(n)
+
+
+def test_clustering_ambiguous_on_degenerate_generic_element(monkeypatch):
+    # force the 'random' generic element to be scalar: all quotient eigenvalues
+    # coincide, every retry fails, and the ambiguity is reported; a fresh
+    # algebra, since a shared one may already hold a cached decomposition
+    split = ha.split_complex()
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _Flat())
     with pytest.raises(ha.errors.ClusteringAmbiguous):
         ha.artin_decompose(split)
+
+
+def test_failed_decomposition_is_not_cached(monkeypatch):
+    split = ha.split_complex()
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", lambda seed=None: _Flat())
+        with pytest.raises(ha.errors.ClusteringAmbiguous):
+            ha.artin_decompose(split)
+    assert ha.artin_decompose(split).count == 2
+
+
+def counting_worker(monkeypatch):
+    """Record the (algebra, seed) of every decomposition actually computed."""
+    seen = []
+    worker = decomposition._decompose
+
+    def counted(algebra, seed):
+        seen.append((id(algebra), seed))
+        return worker(algebra, seed)
+
+    monkeypatch.setattr(decomposition, "_decompose", counted)
+    return seen
+
+
+def test_decomposition_is_cached_per_seed(monkeypatch):
+    seen = counting_worker(monkeypatch)
+    algebra = ha.direct_sum(ha.split_complex(), ha.dual_numbers())
+    first = ha.artin_decompose(algebra)
+    assert ha.artin_decompose(algebra) is first
+    assert ha.artin_decompose(algebra, seed=0) is first
+    other = ha.artin_decompose(algebra, seed=12345)
+    assert other is not first
+    assert seen == [(id(algebra), 0), (id(algebra), 12345)]
+    assert np.abs(other.spectral_rows - first.spectral_rows).max() < 1e-8
+
+
+def test_decomposition_arrays_are_read_only(dual_plus_c):
+    dec = ha.artin_decompose(dual_plus_c)
+    arrays = [dec.spectral_rows, dec.nilradical_basis,
+              *dec.component_bases, *dec.maximal_ideal_bases]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
 
 
 def test_decomposition_is_seed_reproducible(split, dual_plus_c):

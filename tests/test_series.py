@@ -54,6 +54,16 @@ def test_radius_disagreement_is_typed(id_dual, monkeypatch):
         ha.geometric_series(id_dual).radius()
 
 
+def test_context_follows_the_seed():
+    split = ha.split_complex()
+    f = ha.PowerSeries.polynomial(ha.identity_morphism(split), split.zero(), [split.unit()])
+    first = f.context()
+    assert f.context(seed=0) is first
+    dec_a, dec_b, _ = f.context(seed=1)
+    assert dec_a is ha.artin_decompose(split, seed=1) is dec_b
+    assert dec_a is not first[0]
+
+
 def test_spectral_divergence_radius_dominates(id_dual):
     dual = id_dual.source
     # coefficients 2^-n + (unit-norm nilpotent part): R governed by the full norm,
