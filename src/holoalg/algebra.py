@@ -31,8 +31,7 @@ from .errors import (
 IDENTITY_TOL = 1e-12
 # Residual bound for the least-squares unit solve.
 UNIT_RESIDUAL_TOL = 1e-10
-# Singular-value ratio below which the regular representation counts as singular
-# (the contour kernel compares min |sigma_ell(z)| / ||lambda(z)||_F with it).
+# Ratio min |sigma_ell(z)| / ||lambda(z)||_F below which z is not a unit.
 SINGULAR_RATIO = 1e-12
 
 NORM_KINDS = ("frobenius", "operator", "direct-sum")
@@ -305,20 +304,20 @@ class Element:
     def invert(self) -> "Element":
         """Solve lambda(z) w = 1 for the multiplicative inverse.
 
-        Invertibility is decided by the singular-value ratio of lambda(z)
-        (scale invariant, unlike the determinant).
+        Invertibility is decided by the characters, as in the contour kernel
+        (see :func:`_unit_columns`), on the algebra's cached decomposition
+        with seed 0, which may raise :class:`ClusteringAmbiguous`; the value
+        comes from the linear solve alone.
         """
-        lam = self.regular_matrix()
-        svals = np.linalg.svd(lam, compute_uv=False)
-        if svals[0] == 0 or svals[-1] / svals[0] < SINGULAR_RATIO:
-            raise NotAUnit("regular representation is singular")
-        w = np.linalg.solve(lam, self.algebra.unit_coords)
+        if not self.is_unit():
+            raise NotAUnit("an element with a vanishing character is not a unit")
+        w = np.linalg.solve(self.regular_matrix(), self.algebra.unit_coords)
         return Element(self.algebra, w)
 
     def is_unit(self) -> bool:
-        lam = self.regular_matrix()
-        svals = np.linalg.svd(lam, compute_uv=False)
-        return bool(svals[0] > 0 and svals[-1] / svals[0] >= SINGULAR_RATIO)
+        """Whether no character of z vanishes (the rule of :func:`_unit_columns`)."""
+        from .decomposition import artin_decompose   # decomposition imports this module
+        return bool(_unit_columns(artin_decompose(self.algebra), self.coords[:, None])[0])
 
     def spectral_radius(self) -> float:
         """Largest eigenvalue modulus of the regular representation."""
@@ -360,6 +359,17 @@ def _batch_regular(algebra: Algebra, x: np.ndarray) -> np.ndarray:
     n = algebra.dim
     flat = algebra.alpha.transpose(0, 2, 1).reshape(n, n * n)   # row j: lambda(a_j)
     return (x.T @ flat).reshape(-1, n, n)
+
+
+def _unit_columns(dec, x: np.ndarray) -> np.ndarray:
+    """Which columns of an (n, T) stack of ``dec.algebra`` are units.
+
+    A column is a unit exactly when none of its characters sigma_ell(x) is
+    zero; it counts as one when min_ell |sigma_ell(x)| > SINGULAR_RATIO *
+    ||lambda(x)||_F, a scale-invariant rule that zero and nilpotent columns fail.
+    """
+    chars = np.abs(dec.spectral_rows @ x).min(axis=0)
+    return chars > SINGULAR_RATIO * _batch_norm(dec.algebra, x)
 
 
 def _batch_norm(algebra: Algebra, x: np.ndarray, kind: str = "frobenius") -> np.ndarray:

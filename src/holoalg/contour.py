@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import SINGULAR_RATIO, Algebra, Element, _batch_mul, _batch_norm, _batch_regular
+from .algebra import Algebra, Element, _batch_mul, _batch_norm, _batch_regular, _unit_columns
 from .crsystem import FunctionSampler, gcru_residual
 from .decomposition import Decomposition, artin_decompose
 from .errors import (
@@ -349,13 +349,10 @@ def _integrate_terms(f, terms, phi: Morphism, tol: float | None) -> Element:
 def _batch_inv(dec: Decomposition, w: np.ndarray) -> np.ndarray:
     """Inverses of an (m, T) coordinate stack of ``dec.algebra``, one batched solve.
 
-    A column is a unit exactly when none of its characters sigma_ell(w) is
-    zero; it counts as NotAUnit when min_ell |sigma_ell(w)| <= SINGULAR_RATIO *
-    ||lambda(w)||_F, a scale-invariant rule that zero and nilpotent columns fail.
+    A column that fails the character rule of ``_unit_columns`` is NotAUnit.
     """
     algebra = dec.algebra
-    chars = np.abs(dec.spectral_rows @ w).min(axis=0)
-    if np.any(chars <= SINGULAR_RATIO * _batch_norm(algebra, w)):
+    if not _unit_columns(dec, w).all():
         raise NotAUnit("kernel hit a non-invertible value on the path")
     rhs = np.broadcast_to(algebra.unit_coords[:, None], (w.shape[1], algebra.dim, 1))
     return np.linalg.solve(_batch_regular(algebra, w), rhs)[:, :, 0].T

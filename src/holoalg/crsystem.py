@@ -73,7 +73,7 @@ class FunctionSampler:
         if self.batch is None:
             out = np.empty(shape, dtype=complex)
             for t in range(shape[1]):
-                out[:, t] = self(self.source.element(coords[:, t])).coords
+                out[:, t] = self(Element(self.source, coords[:, t])).coords
             return out
         out = self._guarded(self.batch, coords)
         if not isinstance(out, np.ndarray) or out.shape != shape:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Algebra, Element
+from .algebra import Algebra, Element, _batch_regular
 from .decomposition import Decomposition
 from .errors import AlgebraMismatch, NotDetermined, NotMultiplicative, NotUnital
 
@@ -31,6 +31,8 @@ class Morphism:
     target: Algebra
     matrix: np.ndarray = field(repr=False)  # (m x n), columns = images of source basis
     gamma: np.ndarray = field(repr=False)   # (n, m, m); gamma[j] = lambda_B(phi(a_j))
+    # factor's results, by the ids of the two decompositions they hold (see factor)
+    _factorizations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
@@ -66,29 +68,17 @@ def build_morphism(source: Algebra, target: Algebra, matrix) -> Morphism:
     if unit_gap > MORPHISM_TOL:
         raise NotUnital(f"phi(1) differs from 1 by {unit_gap:.3e}")
 
-    images = mat  # column j = phi(a_j)
-    worst = (0.0, (0, 0))
-    for j in range(source.dim):
-        for k in range(source.dim):
-            lhs = mat @ source.mul_coords(_e(source.dim, j), _e(source.dim, k))
-            rhs = target.mul_coords(images[:, j], images[:, k])
-            gap = np.abs(lhs - rhs).max()
-            if gap > worst[0]:
-                worst = (gap, (j, k))
-    if worst[0] > MORPHISM_TOL:
-        j, k = worst[1]
+    # phi(a_j a_k) against phi(a_j) phi(a_k) for every pair, columns = images of a_j
+    gamma = _batch_regular(target, mat)                     # gamma[j] = lambda_B(phi(a_j))
+    lhs = source.alpha @ mat.T                              # [j, k] -> phi(a_j a_k)
+    rhs = (gamma @ mat).transpose(0, 2, 1)                  # [j, k] -> phi(a_j) phi(a_k)
+    gaps = np.abs(lhs - rhs).max(axis=2)
+    j, k = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
+    if gaps[j, k] > MORPHISM_TOL:
         raise NotMultiplicative(
             f"phi(a_{j + 1} a_{k + 1}) != phi(a_{j + 1}) phi(a_{k + 1}) "
-            f"(difference {worst[0]:.3e})")
-
-    gamma = np.stack([target.regular_matrix(images[:, j]) for j in range(source.dim)])
+            f"(difference {gaps[j, k]:.3e})")
     return Morphism(source, target, mat, gamma)
-
-
-def _e(n: int, j: int) -> np.ndarray:
-    v = np.zeros(n, dtype=complex)
-    v[j] = 1.0
-    return v
 
 
 def identity_morphism(algebra: Algebra) -> Morphism:
@@ -137,32 +127,33 @@ def factor(phi: Morphism, dec_source: Decomposition, dec_target: Decomposition) 
     For each target component ell, tau(ell) is the unique source component
     whose idempotent maps onto the target component's unit; an idempotent
     image that is neither ~0 nor ~1 on a component raises
-    :class:`NotDetermined`.
+    :class:`NotDetermined`.  Results are cached on the morphism per pair of
+    decompositions, so repeated calls return the same object; a call that
+    raises caches nothing.
     """
-    tau = []
-    for ell in range(dec_target.count):
-        unit_ell = dec_target.idempotents[ell]
-        hits = []
-        for k in range(dec_source.count):
-            image = phi(dec_source.idempotents[k]) * unit_ell
-            if (image - unit_ell).coord_norm() < DICHOTOMY_TOL:
-                hits.append(k)
-            elif image.coord_norm() >= DICHOTOMY_TOL:
-                raise NotDetermined(
-                    f"phi(I_{k + 1}) projected to component {ell + 1} is neither ~0 nor ~1")
-        if len(hits) != 1:
-            raise NotDetermined(
-                f"component {ell + 1} matched {len(hits)} source idempotents")
-        tau.append(hits[0])
+    cache = phi._factorizations
+    key = (id(dec_source), id(dec_target))   # the cached value keeps both alive
+    if key not in cache:
+        cache[key] = _factor(phi, dec_source, dec_target)
+    return cache[key]
 
-    locals_ = []
-    for ell, k in enumerate(tau):
-        src_basis = dec_source.component_bases[k]
-        tgt_basis = dec_target.component_bases[ell]
-        unit_ell = dec_target.idempotents[ell]
-        cols = []
-        for j in range(src_basis.shape[1]):
-            image = phi.target.element(phi.matrix @ src_basis[:, j]) * unit_ell
-            cols.append(tgt_basis.conj().T @ image.coords)
-        locals_.append(np.column_stack(cols))
+
+def _factor(phi: Morphism, dec_source: Decomposition, dec_target: Decomposition) -> Factorization:
+    images = phi.matrix @ np.column_stack([e.coords for e in dec_source.idempotents])
+    tau, locals_ = [], []
+    for ell, unit_ell in enumerate(dec_target.idempotents):
+        times_unit = phi.target.regular_matrix(unit_ell.coords)
+        projected = times_unit @ images          # column k: phi(I_k) * unit_ell
+        one = np.linalg.norm(projected - unit_ell.coords[:, None], axis=0) < DICHOTOMY_TOL
+        zero = np.linalg.norm(projected, axis=0) < DICHOTOMY_TOL
+        neither = np.flatnonzero(~(one | zero))
+        if neither.size:
+            raise NotDetermined(f"phi(I_{neither[0] + 1}) projected to component {ell + 1} "
+                                "is neither ~0 nor ~1")
+        if one.sum() != 1:
+            raise NotDetermined(
+                f"component {ell + 1} matched {one.sum()} source idempotents")
+        tau.append(int(np.flatnonzero(one)[0]))
+        locals_.append(dec_target.component_bases[ell].conj().T @ times_unit @ phi.matrix
+                       @ dec_source.component_bases[tau[-1]])
     return Factorization(phi, dec_source, dec_target, tuple(tau), tuple(locals_))

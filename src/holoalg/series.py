@@ -7,6 +7,21 @@ series converges whenever |sigma_k(Z - Z0)| stays below the component radius,
 no matter how large the nilpotent part, and is guaranteed divergent outside
 the closed spectral polycylinder.  On the (estimated) boundary no verdict is
 attempted.
+
+The coefficients are one (m, K) stack: a rule is read once per index into the
+window 0..rule_bound (past it only when a term budget asks), radii apply the
+stacked norms to the window, and ``derive()`` scales the parent's stack.  Sums
+go through the local structure: with phi(Z - Z0) e_l = s_l e_l + n_l on target
+component l (n_l nilpotent),
+
+    sum_k B_k phi(Z - Z0)^k = sum_l sum_{j < nu_l} T_j(s_l) e_l n_l^j,
+    T_j(s) = sum_k C(k, j) s^(k-j) B_k = g^(j)(s) / j!,
+
+one stack contraction per order j.  The same Taylor data serve canonical
+forms, the cylinder extension and the nilpotent derivative.  The term count
+comes from the verdict's ratio |s_l| / r_l before summing; the last terms are
+checked against the tail bound, so a rule that breaks its radius estimate
+raises NoConvergence.
 """
 
 from __future__ import annotations
@@ -16,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, Element, _batch_mul
+from .algebra import Algebra, Element, _batch_mul, _batch_norm, _batch_regular
 from .crsystem import FunctionSampler
 from .decomposition import Decomposition, artin_decompose
 from .errors import (
@@ -32,7 +47,6 @@ DEFAULT_RULE_BOUND = 200
 TRUNCATION_TOL = 1e-12
 BOUNDARY_BAND = 0.01   # relative width of the no-verdict band around the radius
 RADIUS_SHRINK = 0.9    # tail bounds use the estimated radius shrunk by 10%
-MAX_TERMS = 200_000
 
 
 class _Verdict:
@@ -49,37 +63,155 @@ Divergent = _Verdict("Divergent")
 BoundaryIndeterminate = _Verdict("BoundaryIndeterminate")
 
 
-def _tail_window_sup(norms: Sequence[float], bound: int) -> float:
-    """max of ||B_n||^(1/n) over the tail window n in [bound/2, bound]."""
+def _tail_radius(norms: np.ndarray, bound: int):
+    """1 / max ||B_n||^(1/n) over the tail window n in [bound/2, bound], per row
+    of ``norms``; infinite when the window vanishes."""
     lo = max(1, bound // 2)
-    sup = 0.0
-    for n in range(lo, bound + 1):
-        if n < len(norms) and norms[n] > 0:
-            sup = max(sup, norms[n] ** (1.0 / n))
-    return sup
+    sup = (norms[..., lo:bound + 1] ** (1.0 / np.arange(lo, bound + 1))).max(axis=-1)
+    with np.errstate(divide="ignore"):
+        return 1.0 / sup
 
 
-class PowerSeries:
+def _binomials(K: int, nu: int) -> np.ndarray:
+    """(K, nu) table of C(k, j)."""
+    steps = (np.arange(K)[:, None] + 1.0 - np.arange(nu)) / np.maximum(np.arange(nu), 1)
+    steps[:, 0] = 1.0
+    return np.cumprod(steps, axis=1)
+
+
+def _weights(z: np.ndarray, K: int, nu: int) -> np.ndarray:
+    """(K, L * nu) weights C(k, j) z_l^(k-j) of B_k in T_j(z_l), columns ordered (l, j)."""
+    powers = np.empty((K, len(z)), dtype=complex)
+    powers[0], powers[1:] = 1.0, z
+    powers = np.cumprod(powers, axis=0)[np.maximum(np.arange(K)[:, None] - np.arange(nu), 0)]
+    return (_binomials(K, nu)[:, :, None] * powers).transpose(0, 2, 1).reshape(K, -1)
+
+
+def _tail_count(q: np.ndarray, r: np.ndarray, pi: np.ndarray, thr: float, known: int) -> int:
+    """Terms needed past a window of ``known``: 0, or K such that the tail majorant
+    sum_{l,j} C(k, j) q_l^(k-j) r_l^-j pi_lj of the k-th term is below thr from
+    K - 4 on.  Past the window the coefficients are bounded by r_l^-k, as the
+    radius estimate has them on its tail window; pi_lj bounds the nilpotent
+    factors.  As inside the verdict, each ratio q_l = |z_l| / r_l must stay
+    below 1 - BOUNDARY_BAND.
+    """
+    if not np.all(q < 1 - BOUNDARY_BAND):
+        raise NoConvergence("a spectral part lies in the boundary band of the radius")
+    nu = pi.shape[1]
+    scale = (r[:, None] ** -np.arange(nu) * pi)[:, None, :]
+    K = known + 1
+    while True:
+        exps = np.maximum(np.arange(known, K)[:, None] - np.arange(nu), 0)
+        bound = (_binomials(K, nu)[known:] * q[:, None, None] ** exps * scale).sum(axis=(0, 2))
+        if not np.isfinite(bound).all():
+            raise NoConvergence("the series terms overflow")
+        if bound[-1] < thr and K - 1 >= nu / (1 - q.max()):
+            big = np.flatnonzero(bound >= thr)
+            return known + int(big[-1]) + 5 if big.size else 0
+        K *= 2
+
+
+def _local_parts(dec: Decomposition, w: np.ndarray, orders, x: np.ndarray | None = None):
+    """Spectral parts s_l of w and the (m, L, max(orders)) stack of nilpotent
+    factors P[:, l, j] = e_l n_l^j, n_l = (w - s_l) e_l, zero for j >= orders[l];
+    given the multiplication x by an increment, the h_j with x h_j =
+    e_l ((n_l + x)^j - n_l^j)."""
+    s = dec.spectral_rows @ w
+    lam = dec.algebra.regular_matrix(w)
+    a = np.column_stack([e.coords for e in dec.idempotents])   # e_l (n_l + x)^j, per column
+    h = np.zeros_like(a)
+    P = np.empty((len(w), dec.count, max(orders)), dtype=complex)
+    for j in range(max(orders)):
+        P[:, :, j] = a if x is None else h
+        h, a = lam @ h - h * s + a, lam @ a - a * s + (0 if x is None else x @ a)
+    return s, P * (np.arange(max(orders)) < np.array(orders)[:, None])
+
+
+class _Coefficients:
+    """Target coefficients B_0, B_1, ... of a series, as columns of one stack."""
+
+    def __init__(self, target: Algebra, coeffs: Sequence[Element] | None,
+                 rule: Callable[[int], Element] | None, rule_bound: int):
+        self.coeffs = tuple(coeffs) if coeffs is not None else None
+        if (coeffs is None) == (rule is None) or self.coeffs == ():
+            raise ValueError("provide exactly one of coeffs (at least one) or rule")
+        self.target = target
+        self.rule = rule
+        self.rule_bound = rule_bound
+        cols = [c.coords for c in self.coeffs] if self.coeffs is not None else []
+        self._stack = np.array(cols, dtype=complex).reshape(len(cols), target.dim).T
+
+    @property
+    def is_polynomial(self) -> bool:
+        return self.coeffs is not None
+
+    def coefficient(self, k: int) -> Element:
+        if self.coeffs is not None:
+            return self.coeffs[k] if k < len(self.coeffs) else self.target.zero()
+        return self.target.element(self._window(k + 1)[:, k])
+
+    def _read(self, lo: int, hi: int) -> np.ndarray:
+        """Columns lo..hi-1 of the coefficient stack, one rule call per index."""
+        cols = [self.rule(k).coords for k in range(lo, hi)]
+        return np.array(cols, dtype=complex).reshape(hi - lo, self.target.dim).T
+
+    def _window(self, K: int) -> np.ndarray:
+        """B_0..B_{K-1} as an (m, K) stack; the stack grows, never rereads."""
+        have = self._stack.shape[1]
+        if K > have and not self.is_polynomial:
+            self._stack = np.hstack([self._stack, self._read(have, K)])
+        return self._stack[:, :K]
+
+    def _expand(self, z: np.ndarray, P: np.ndarray, thr: float) -> np.ndarray:
+        """sum_{l,j} T_j(z_l) P[:, l, j]: the Taylor data T_j(s) = sum_k C(k, j)
+        s^(k-j) B_k against the nilpotent factors P, as coordinates.
+
+        A rule series sums its terms sum_{l,j} C(k, j) z_l^(k-j) B_k P[:, l, j]
+        up to the last one of the window whose Frobenius norm is not below
+        ``thr``, plus four, or further as far as the tail majorant asks; past
+        the window, NoConvergence unless the last four are below ``thr``.
+        """
+        m, L, nu = P.shape
+        flat, tgt = P.reshape(m, L * nu), self.target
+        K = len(self.coeffs) if self.is_polynomial else self.rule_bound + 1
+        B, W = self._window(K), _weights(z, K, nu)
+        if not self.is_polynomial:
+            if not thr > 0:
+                raise ValueError("the truncation tolerance must be positive")
+            sizes = _batch_norm(tgt, _batch_mul(tgt, B, flat @ W.T))   # the window's terms
+            big = np.flatnonzero(~(sizes < thr))
+            kappa, radii = self._tail()
+            radii = np.broadcast_to(radii, (L,))
+            K = max(int(big[-1]) + 5 if big.size else 0, 9,
+                    _tail_count(np.abs(z) / radii, radii,
+                                kappa * _batch_norm(tgt, flat).reshape(L, nu), thr, K))
+            if K > B.shape[1]:
+                B, W = self._window(K), _weights(z, K, nu)
+                last = _batch_norm(tgt, _batch_mul(tgt, B[:, K - 4:], flat @ W[K - 4:].T))
+                if not (last < thr).all():
+                    raise NoConvergence(f"series terms {K - 4}..{K - 1} miss the tail bound "
+                                        f"{thr:.1e}: the coefficients outgrow the radius estimate")
+        value = _batch_mul(tgt, B[:, :K] @ W[:K], flat).sum(axis=1)
+        if not np.isfinite(value).all():
+            raise NoConvergence("the series sum overflows")
+        return value
+
+
+class PowerSeries(_Coefficients):
     """sum_k B_k phi(Z - Z0)^k with finite or rule-generated coefficients."""
 
     def __init__(self, phi: Morphism, center: Element,
                  coeffs: Sequence[Element] | None = None,
                  rule: Callable[[int], Element] | None = None,
                  rule_bound: int = DEFAULT_RULE_BOUND):
-        if (coeffs is None) == (rule is None):
-            raise ValueError("provide exactly one of coeffs or rule")
+        super().__init__(phi.target, coeffs, rule, rule_bound)
         if not phi.source.compatible(center.algebra):
             raise ValueError("center must live in the source algebra")
         self.phi = phi
         self.center = center
-        self.coeffs = tuple(coeffs) if coeffs is not None else None
-        self.rule = rule
-        self.rule_bound = rule_bound
         self._ctx: dict[int, tuple[Decomposition, Decomposition, Factorization]] = {}
         self._component_radii: np.ndarray | None = None
         self._radius: float | None = None
-
-    # -- constructors ---------------------------------------------------------
 
     @classmethod
     def polynomial(cls, phi: Morphism, center: Element,
@@ -91,24 +223,9 @@ class PowerSeries:
                   bound: int = DEFAULT_RULE_BOUND) -> "PowerSeries":
         return cls(phi, center, rule=rule, rule_bound=bound)
 
-    # -- coefficient access -----------------------------------------------------
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.coeffs is not None
-
     @property
     def degree(self) -> int | None:
         return len(self.coeffs) - 1 if self.coeffs is not None else None
-
-    def coefficient(self, k: int) -> Element:
-        if self.coeffs is not None:
-            if k < len(self.coeffs):
-                return self.coeffs[k]
-            return self.phi.target.zero()
-        return self.rule(k)
-
-    # -- context ----------------------------------------------------------------
 
     def context(self, seed: int = 0):
         """(source decomposition, target decomposition, factorization), cached per seed."""
@@ -117,11 +234,6 @@ class PowerSeries:
             dec_b = artin_decompose(self.phi.target, seed=seed)
             self._ctx[seed] = (dec_a, dec_b, factor(self.phi, dec_a, dec_b))
         return self._ctx[seed]
-
-    # -- radii -------------------------------------------------------------------
-
-    def _coefficient_norms(self, kind: str) -> list[float]:
-        return [self.coefficient(n).norm(kind) for n in range(self.rule_bound + 1)]
 
     def radius(self) -> float:
         """1 / limsup ||B_n||^(1/n), from the tail window [N/2, N]; cached.
@@ -139,8 +251,7 @@ class PowerSeries:
         est_f = self._radius_estimate("frobenius")
         est_o = self._radius_estimate("operator")
         if math.isfinite(est_f) or math.isfinite(est_o):
-            hi = max(est_f, est_o)
-            lo = min(est_f, est_o)
+            lo, hi = sorted((est_f, est_o))
             if not (math.isfinite(hi) and (hi - lo) <= 0.05 * hi):
                 raise EstimateViolated(
                     f"radius estimates disagree beyond 5%: {est_f} (frobenius) "
@@ -149,37 +260,35 @@ class PowerSeries:
         return est_f
 
     def _radius_estimate(self, kind: str) -> float:
-        sup = _tail_window_sup(self._coefficient_norms(kind), self.rule_bound)
-        return math.inf if sup == 0.0 else 1.0 / sup
+        norms = _batch_norm(self.target, self._window(self.rule_bound + 1), kind)
+        return float(_tail_radius(norms, self.rule_bound))
 
     def spectral_divergence_radius(self) -> float:
         """Diagnostic 1 / limsup rho(B_n)^(1/n); always >= the radius."""
         if self.is_polynomial:
             return math.inf
-        norms = [self.coefficient(n).spectral_radius() for n in range(self.rule_bound + 1)]
-        sup = _tail_window_sup(norms, self.rule_bound)
-        return math.inf if sup == 0.0 else 1.0 / sup
+        lam = _batch_regular(self.target, self._window(self.rule_bound + 1))
+        return float(_tail_radius(np.abs(np.linalg.eigvals(lam)).max(axis=1), self.rule_bound))
 
     def component_radii(self) -> np.ndarray:
         """Per-target-component radius estimates (coordinate norms)."""
         if self._component_radii is None:
-            _, dec_b, _ = self.context()
+            dec = artin_decompose(self.target)
             if self.is_polynomial:
-                self._component_radii = np.full(dec_b.count, math.inf)
+                self._component_radii = np.full(dec.count, math.inf)
             else:
-                per = []
-                norms = np.empty((dec_b.count, self.rule_bound + 1))
-                for n in range(self.rule_bound + 1):
-                    b = self.coefficient(n)
-                    for ell in range(dec_b.count):
-                        norms[ell, n] = np.linalg.norm(dec_b.component_coords(b, ell))
-                for ell in range(dec_b.count):
-                    sup = _tail_window_sup(norms[ell], self.rule_bound)
-                    per.append(math.inf if sup == 0.0 else 1.0 / sup)
-                self._component_radii = np.array(per)
+                stack = self._window(self.rule_bound + 1)
+                norms = np.array([
+                    np.linalg.norm(basis.conj().T @ self.target.regular_matrix(e.coords) @ stack,
+                                   axis=0)
+                    for basis, e in zip(dec.component_bases, dec.idempotents)])
+                self._component_radii = _tail_radius(norms, self.rule_bound)
         return self._component_radii
 
-    # -- evaluation ----------------------------------------------------------------
+    def _tail(self):
+        """||alpha||_F, which turns coordinate norms into Frobenius bounds, and the
+        component radii: the coefficients' tail bound for the term budget."""
+        return np.linalg.norm(self.target.alpha), self.component_radii()
 
     def evaluate(self, Z: Element, boundary_band: float = BOUNDARY_BAND,
                  tol: float = TRUNCATION_TOL):
@@ -193,51 +302,35 @@ class PowerSeries:
         if not self.phi.source.compatible(Z.algebra):
             raise ValueError("point must live in the source algebra")
         if self.is_polynomial:
-            return self._sum(Z, q=0.0, tol=tol)
+            return self.target.element(self._horner(Z.coords[:, None])[:, 0])
+        s, P = self._local(Z)
+        thr = self._threshold(s, boundary_band, tol)
+        if isinstance(thr, _Verdict):
+            return thr
+        return self.target.element(self._expand(s, P, thr))
 
-        dec_a, dec_b, fact = self.context()
+    def _local(self, Z: Element, X: Element | None = None):
+        """_local_parts of phi(Z - Z0), to the component dimensions (which bound
+        the heights), one order more with an increment X."""
+        dec = artin_decompose(self.target)
+        x = None if X is None else self.target.regular_matrix(self.phi.matrix @ X.coords)
+        return _local_parts(dec, self.phi.matrix @ (Z.coords - self.center.coords),
+                            [d + (x is not None) for d in dec.component_dims], x)
+
+    def _threshold(self, s: np.ndarray, boundary_band: float, tol: float):
+        """Verdict on the spectral parts s_l, or the bound on the last terms' norms:
+        tol over the geometric tail factor in q = max_l |s_l| / (RADIUS_SHRINK r_l),
+        with the worst admissible ratio when q >= 1 inside the verdict band."""
         radii = self.component_radii()
-        q = 0.0
-        boundary = False
-        for ell in range(dec_b.count):
-            k = fact.tau[ell]
-            rho = abs(dec_a.sigma(Z - self.center, k))
-            r = radii[ell]
-            if math.isinf(r):
-                continue
-            if rho > r * (1 + boundary_band):
-                return Divergent
-            if rho >= r * (1 - boundary_band):
-                boundary = True
-            else:
-                q = max(q, rho / (RADIUS_SHRINK * r))
-        if boundary:
+        finite = np.isfinite(radii)
+        rho, r = np.abs(s)[finite], radii[finite]
+        if np.any(rho > r * (1 + boundary_band)):
+            return Divergent
+        if np.any(rho >= r * (1 - boundary_band)):
             return BoundaryIndeterminate
-        return self._sum(Z, q=q, tol=tol)
-
-    def _sum(self, Z: Element, q: float, tol: float) -> Element:
-        w = self.phi(Z - self.center)
-        acc = self.phi.target.zero()
-        power = self.phi.target.unit()
-        top = len(self.coeffs) if self.is_polynomial else MAX_TERMS
-        # geometric tail majorant; inside the verdict band but beyond the
-        # shrunk radius (q >= 1) fall back to the worst admissible ratio
+        q = float((rho / (RADIUS_SHRINK * r)).max(initial=0.0))
         tail_factor = q / (1 - q) if 0 < q < 1 else (99.0 if q >= 1 else 1.0)
-        calm = 0
-        for k in range(top):
-            term = self.coefficient(k) * power
-            acc = acc + term
-            power = power * w
-            if not self.is_polynomial:
-                if term.norm("frobenius") * max(tail_factor, 1.0) < tol:
-                    calm += 1
-                    if calm >= 4 and k >= 8:
-                        return acc
-                else:
-                    calm = 0
-        if self.is_polynomial:
-            return acc
-        raise NoConvergence(f"series did not meet the tail bound in {MAX_TERMS} terms")
+        return tol / max(tail_factor, 1.0)
 
     def evaluate_strict(self, Z: Element) -> Element:
         out = self.evaluate(Z)
@@ -255,27 +348,23 @@ class PowerSeries:
                                batch=self._horner if self.is_polynomial else None)
 
     def _horner(self, X: np.ndarray) -> np.ndarray:
-        """Horner's rule on the columns of an (n, T) stack of source points."""
-        tgt = self.phi.target
-        w = self.phi.matrix @ (X - self.center.coords[:, None])
-        acc = np.repeat(self.coeffs[-1].coords[:, None], X.shape[1], axis=1)
+        """Horner's rule on the columns of an (n, T) stack of source points, with
+        the multiplication by each w_t = phi(X_t - Z0) formed once."""
+        lam = _batch_regular(self.target, self.phi.matrix @ (X - self.center.coords[:, None]))
+        acc = np.repeat(self.coeffs[-1].coords[None, :], X.shape[1], axis=0)
         for c in reversed(self.coeffs[:-1]):
-            acc = _batch_mul(tgt, acc, w) + c.coords[:, None]
-        return acc
-
-    # -- calculus ---------------------------------------------------------------
+            acc = (lam @ acc[:, :, None])[:, :, 0] + c.coords
+        return acc.T
 
     def derive(self) -> "PowerSeries":
         """Term-wise derivative: coefficients (k+1) B_{k+1}; radius preserved."""
         if self.is_polynomial:
-            new = [(k + 1) * self.coeffs[k + 1] for k in range(len(self.coeffs) - 1)]
-            if not new:
-                new = [self.phi.target.zero()]
+            new = [k * c for k, c in enumerate(self.coeffs[1:], 1)] or [self.phi.target.zero()]
             return PowerSeries(self.phi, self.center, coeffs=new)
-        rule = self.rule
-        return PowerSeries(self.phi, self.center,
-                           rule=lambda k: (k + 1) * rule(k + 1),
-                           rule_bound=max(self.rule_bound - 1, 1))
+        d = PowerSeries(self.phi, self.center, rule=lambda k: (k + 1) * self.coefficient(k + 1),
+                        rule_bound=max(self.rule_bound - 1, 1))
+        d._read = lambda lo, hi: np.arange(lo + 1, hi + 1) * self._window(hi + 1)[:, lo + 1:]
+        return d
 
     def derivative_at(self, Z: Element, order: int) -> Element:
         s = self
@@ -288,80 +377,32 @@ class PowerSeries:
 # scalar series and canonical forms
 # ---------------------------------------------------------------------------
 
-class ScalarSeries:
+class ScalarSeries(_Coefficients):
     """A C-holomorphic map z |-> sum_j c_j (z - z0)^j with algebra coefficients."""
 
     def __init__(self, target: Algebra, center: complex,
                  coeffs: Sequence[Element] | None = None,
                  rule: Callable[[int], Element] | None = None,
                  rule_bound: int = DEFAULT_RULE_BOUND):
-        if (coeffs is None) == (rule is None):
-            raise ValueError("provide exactly one of coeffs or rule")
-        self.target = target
+        super().__init__(target, coeffs, rule, rule_bound)
         self.center = complex(center)
-        self.coeffs = tuple(coeffs) if coeffs is not None else None
-        self.rule = rule
-        self.rule_bound = rule_bound
         self._radius: float | None = None
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.coeffs is not None
-
-    def coefficient(self, j: int) -> Element:
-        if self.coeffs is not None:
-            return self.coeffs[j] if j < len(self.coeffs) else self.target.zero()
-        return self.rule(j)
 
     def radius(self) -> float:
         if self._radius is None:
-            if self.is_polynomial:
-                self._radius = math.inf
-            else:
-                norms = [self.coefficient(j).norm("frobenius")
-                         for j in range(self.rule_bound + 1)]
-                sup = _tail_window_sup(norms, self.rule_bound)
-                self._radius = math.inf if sup == 0.0 else 1.0 / sup
+            self._radius = math.inf if self.is_polynomial else float(_tail_radius(
+                _batch_norm(self.target, self._window(self.rule_bound + 1)), self.rule_bound))
         return self._radius
+
+    def _tail(self):
+        return 1.0, np.array([self.radius()])
 
     def derivative(self, z: complex, order: int = 0,
                    tol: float = TRUNCATION_TOL) -> Element:
         """g^(order)(z) = sum_{j>=order} j!/(j-order)! c_j (z - z0)^(j-order)."""
-        zeta = complex(z) - self.center
-        acc = self.target.zero()
-        pw = 1.0 + 0j
-        top = len(self.coeffs) if self.is_polynomial else MAX_TERMS
-        falling = math.factorial(order) if order else 1
-        calm = 0
-        for j in range(order, top):
-            if j > order:
-                falling = falling * j // (j - order)
-            term = (falling * pw) * self.coefficient(j)
-            acc = acc + term
-            pw *= zeta
-            if not self.is_polynomial:
-                size = term.norm("frobenius")
-                if size > 1e60:
-                    raise NoConvergence("scalar series diverges at this point")
-                if size < tol:
-                    calm += 1
-                    if calm >= 4 and j >= order + 8:
-                        return acc
-                else:
-                    calm = 0
-        if self.is_polynomial:
-            return acc
-        raise NoConvergence(f"scalar series did not settle in {MAX_TERMS} terms")
-
-    def component_restriction(self, dec: Decomposition, ell: int) -> "ScalarSeries":
-        """Coefficients multiplied by the ell-th idempotent."""
-        unit = dec.idempotents[ell]
-        if self.is_polynomial:
-            return ScalarSeries(self.target, self.center,
-                                coeffs=[c * unit for c in self.coeffs])
-        rule = self.rule
-        return ScalarSeries(self.target, self.center,
-                            rule=lambda j: rule(j) * unit, rule_bound=self.rule_bound)
+        P = np.zeros((self.target.dim, 1, order + 1), dtype=complex)
+        P[:, 0, order] = math.factorial(order) * self.target.unit_coords
+        return self.target.element(self._expand(np.array([complex(z) - self.center]), P, tol))
 
 
 class CanonicalForm:
@@ -381,8 +422,6 @@ class CanonicalForm:
         self.dec_source = dec_source
         self.dec_target = dec_target
         self.fact = fact
-        self._restrictions = [scalar.component_restriction(dec_target, ell)
-                              for ell in range(dec_target.count)]
 
     def scalar_radius(self) -> float:
         return self.scalar.radius()
@@ -391,26 +430,13 @@ class CanonicalForm:
         if not self.phi.source.compatible(Z.algebra):
             raise ValueError("point must live in the source algebra")
         radius = self.scalar.radius()
-        out = self.phi.target.zero()
-        for ell in range(self.dec_target.count):
-            k = self.fact.tau[ell]
-            z = self.dec_source.sigma(Z, k)
-            if abs(z - self.scalar.center) >= radius:
-                raise OutsideScalarDomain(
-                    f"spectral part {z} outside the scalar disc of radius {radius}")
-            x = self.dec_source.nilpotent_part(Z, k)
-            px = self.phi(x) * self.dec_target.idempotents[ell]
-            g = self._restrictions[ell]
-            power = self.dec_target.idempotents[ell]
-            fact_k = 1.0
-            for order in range(self.heights[ell]):
-                if order:
-                    fact_k *= order
-                    power = power * px
-                    if power.coord_norm() == 0.0:
-                        break
-                out = out + (1.0 / fact_k) * (g.derivative(z, order) * power)
-        return out
+        z, P = _local_parts(self.dec_target, self.phi.matrix @ Z.coords, self.heights)
+        far = np.abs(z - self.scalar.center) >= radius
+        if far.any():
+            raise OutsideScalarDomain(
+                f"spectral part {z[far][0]} outside the scalar disc of radius {radius}")
+        return self.phi.target.element(
+            self.scalar._expand(z - self.scalar.center, P, TRUNCATION_TOL))
 
     def sampler(self) -> FunctionSampler:
         return FunctionSampler(self.evaluate, self.phi.source, self.phi.target,
@@ -447,73 +473,45 @@ def nilpotent_derivative(s: PowerSeries, Z: Element, X: Element) -> Element:
     """Limit of difference quotients along units toward the nilpotent X.
 
     Equals sum_k f^(k+1)(Z)/(k+1)! phi(X)^k, a terminating sum.  X must lie
-    in the nilradical (checked by scale-invariant nilpotency of X^n).
+    in the nilradical (checked by scale-invariant nilpotency of X^n).  On
+    target component l, with phi(Z - Z0) e_l = s_l e_l + n_l and x = phi(X),
+    it is sum_p T_p(s_l) h_p, where x h_p = e_l ((n_l + x)^p - n_l^p).
     """
-    algebra = X.algebra
-    if X.coord_norm() > 0:
-        y = X * (1.0 / X.coord_norm())
-        power = y
-        for _ in range(algebra.dim - 1):
-            power = power * y
-        if power.coord_norm() > 1e-10:
+    size = X.coord_norm()
+    if size > 0:
+        y = X.coords / size
+        power = np.linalg.matrix_power(X.algebra.regular_matrix(y), X.algebra.dim - 1)
+        if np.linalg.norm(power @ y) > 1e-10:
             raise NotNilpotent("increment is not in the nilradical")
 
-    px = s.phi(X)
-    out = s.phi.target.zero()
-    power = s.phi.target.unit()
-    fact_k = 1.0
-    series = s.derive()
-    for k in range(s.phi.target.dim + 1):
-        fact_k *= (k + 1) if k else 1
-        out = out + (1.0 / fact_k) * (series.evaluate_strict(Z) * power)
-        power = power * px
-        if power.coord_norm() == 0.0:
-            break
-        series = series.derive()
-    return out
+    sv, P = s._local(Z, X)
+    thr = s._threshold(sv, BOUNDARY_BAND, TRUNCATION_TOL)
+    if isinstance(thr, _Verdict):
+        raise OutsideScalarDomain(f"series verdict at the point: {thr!r}")
+    return s.target.element(s._expand(sv, P, thr))
 
 
 def extend_to_cylinder(f, Z: Element) -> Element:
     """Value of the unique holomorphic extension on the spectral cylinder.
 
     ``f`` may be a :class:`CanonicalForm` (direct evaluation) or a
-    :class:`PowerSeries`, whose scalar restriction per matched component is
-    re-expanded and summed at the spectral part of Z with the nilpotent part
-    entering polynomially.  :class:`OutsideScalarDomain` when the spectral
-    part leaves the stored scalar disc.
+    :class:`PowerSeries`, whose Taylor data per target component are summed
+    at the spectral part of Z with the nilpotent part entering polynomially.
+    :class:`OutsideScalarDomain` when a spectral part leaves its component
+    radius.
     """
     if isinstance(f, CanonicalForm):
         return f.evaluate(Z)
     if not isinstance(f, PowerSeries):
         raise TypeError("expected a PowerSeries or CanonicalForm")
 
-    dec_a, dec_b, fact = f.context()
+    zeta, P = f._local(Z)
     radii = f.component_radii()
-    out = f.phi.target.zero()
-    for ell in range(dec_b.count):
-        k = fact.tau[ell]
-        unit_ell = dec_b.idempotents[ell]
-        zeta = dec_a.sigma(Z - f.center, k)
-        if abs(zeta) >= radii[ell]:
-            raise OutsideScalarDomain(
-                f"spectral offset {zeta} outside component radius {radii[ell]}")
-        nil = f.phi(dec_a.nilpotent_part(Z - f.center, k)) * unit_ell
-        scalar = ScalarSeries(
-            f.phi.target, 0.0,
-            coeffs=[c * unit_ell for c in f.coeffs] if f.is_polynomial else None,
-            rule=(lambda j, _u=unit_ell: f.coefficient(j) * _u)
-            if not f.is_polynomial else None,
-            rule_bound=f.rule_bound)
-        power = unit_ell
-        fact_m = 1.0
-        for m in range(f.phi.target.dim + 1):
-            if m:
-                fact_m *= m
-                power = power * nil
-                if power.coord_norm() == 0.0:
-                    break
-            out = out + (1.0 / fact_m) * (scalar.derivative(zeta, m) * power)
-    return out
+    far = np.abs(zeta) >= radii
+    if far.any():
+        raise OutsideScalarDomain(
+            f"spectral offset {zeta[far][0]} outside component radius {radii[far][0]}")
+    return f.target.element(f._expand(zeta, P, TRUNCATION_TOL))
 
 
 def geometric_series(phi: Morphism, bound: int = DEFAULT_RULE_BOUND) -> PowerSeries:

@@ -155,6 +155,24 @@ def test_invert_rejects_nilpotents(dual):
         dual.element([0, 1]).invert()
 
 
+@pytest.mark.parametrize("s", [1e-7, 1e-9, 1e-11, 0.0])
+def test_unit_rules_agree_on_small_spectral_parts(dual, s):
+    # z = s + eps: a unit exactly when s != 0, though lambda(z) has singular-value
+    # ratio about s^2, below the 1e-12 that used to decide
+    from holoalg.contour import _batch_inv
+    z = dual.element([s, 1.0])
+    assert z.is_unit() == (s != 0)
+    if s == 0:
+        for invert in (z.invert, lambda: _batch_inv(ha.artin_decompose(dual), z.coords[:, None])):
+            with pytest.raises(NotAUnit):
+                invert()
+        return
+    expected = np.array([1 / s, -1 / s ** 2])
+    batched = _batch_inv(ha.artin_decompose(dual), z.coords[:, None])[:, 0]
+    for got in (z.invert().coords, batched):
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 def test_invert_agrees_with_nilpotent_series(dual, t3):
     rng = np.random.default_rng(11)
     for algebra in (dual, t3):

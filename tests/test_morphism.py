@@ -153,3 +153,35 @@ def test_factor_dichotomy_violation(cc, cline):
                      np.zeros((2, 1, 1), dtype=complex))
     with pytest.raises(NotDetermined):
         ha.factor(bogus, ha.artin_decompose(cc), ha.artin_decompose(cline))
+
+
+# -- factorization cache -------------------------------------------------------------
+
+def test_factor_runs_once_per_morphism_and_seed(split, monkeypatch):
+    from holoalg import morphism
+    runs = []
+    body = morphism._factor
+    monkeypatch.setattr(morphism, "_factor", lambda *args: runs.append(args[0]) or body(*args))
+    phi = ha.identity_morphism(split)
+    circle = ha.Path.circle(split.zero(), 1.0)
+    Z0 = split.element([0.2, 0.1])
+    for seed in (0, 1):
+        ha.admissibility(circle, Z0, phi, seed=seed)
+        ha.index_spectral(circle, Z0, phi, seed=seed)
+    assert len(runs) == 2
+    other = ha.identity_morphism(split)
+    ha.index_spectral(circle, Z0, other)
+    assert runs == [phi, phi, other]
+    dec = ha.artin_decompose(split)
+    assert ha.factor(phi, dec, dec) is ha.factor(phi, dec, dec)
+
+
+def test_failed_factorization_is_not_cached(cc, monkeypatch):
+    from holoalg import morphism
+    phi = ha.identity_morphism(cc)
+    dec = ha.artin_decompose(cc)
+    with monkeypatch.context() as patch:
+        patch.setattr(morphism, "_factor", lambda *args: (_ for _ in ()).throw(NotDetermined("x")))
+        with pytest.raises(NotDetermined):
+            ha.factor(phi, dec, dec)
+    assert ha.factor(phi, dec, dec).tau == (0, 1)

@@ -1,13 +1,24 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holoalg as ha
-from holoalg.errors import EstimateViolated, NotLocalPair, NotNilpotent, OutsideScalarDomain
+from holoalg.errors import (
+    EstimateViolated,
+    NoConvergence,
+    NotLocalPair,
+    NotNilpotent,
+    OutsideScalarDomain,
+)
 from holoalg.series import BoundaryIndeterminate, Divergent
 
 from conftest import assert_coords
+from test_batched import random_basis_sum
+from test_node_kernels import FACTORS
 
 
 def exp_scalar_series(algebra, bound=200):
@@ -275,3 +286,201 @@ def test_extension_of_canonical_form(dual, id_dual):
     Z = dual.element([0.3, 1e3])
     got = ha.extend_to_cylinder(cf, Z)
     assert_coords(got, [math.exp(0.3), math.exp(0.3) * 1e3], tol=1e-6)
+
+
+# -- the stacked evaluator against references ------------------------------------------------
+
+def term_by_term(series, Z, tol=1e-12):
+    """The former evaluation loop, kept as a reference: sum_k B_k phi(Z - Z0)^k one
+    Element product per term, until four terms in a row fall below the tail bound."""
+    dec_b = ha.artin_decompose(series.phi.target)
+    radii = series.component_radii()
+    spectral = dec_b.spectrum(series.phi(Z - series.center))
+    q = max([abs(s) / (0.9 * r) for s, r in zip(spectral, radii) if np.isfinite(r)], default=0.0)
+    tail = q / (1 - q) if 0 < q < 1 else (99.0 if q >= 1 else 1.0)
+    w = series.phi(Z - series.center)
+    acc, power, calm = series.phi.target.zero(), series.phi.target.unit(), 0
+    for k in range(100_000):
+        term = series.coefficient(k) * power
+        acc, power = acc + term, power * w
+        calm = calm + 1 if term.norm("frobenius") * max(tail, 1.0) < tol else 0
+        if calm >= 4 and k >= 8:
+            return acc
+    raise AssertionError("the reference sum did not settle")
+
+
+def relative_gap(got, expected):
+    expected = np.asarray(expected, dtype=complex)
+    return float(np.abs(got.coords - expected).max() / max(1.0, np.abs(expected).max()))
+
+
+def mp_exp_derivative(z, n):
+    return mp.exp(z)
+
+
+def mp_geometric_derivative(z, n):
+    return mp.factorial(n) / (1 - z) ** (n + 1)
+
+
+def mp_local(derivative, z, nilpotent, height, increment=None):
+    """At 50 digits, on a local algebra with basis 1, t, ..., t^(height-1):
+    f(z + N) = sum_i g^(i)(z)/i! N^i, or with an increment X the nilpotent
+    derivative sum_k f^(k+1)(z + N)/(k+1)! X^k, both as coordinates."""
+    def mul(a, b):
+        return [mp.fsum(a[i] * b[n - i] for i in range(n + 1)) for n in range(height)]
+
+    def power(a, k):
+        out = [mp.mpf(1)] + [mp.mpf(0)] * (height - 1)
+        for _ in range(k):
+            out = mul(out, a)
+        return out
+
+    shift = increment is not None
+    with mp.workdps(50):
+        N = [mp.mpf(0)] + [mp.mpc(c) for c in nilpotent]
+        X = [mp.mpf(0)] + [mp.mpc(c) for c in (increment if shift else [0] * (height - 1))]
+        out = [mp.mpc(0)] * height
+        for k in range(height if shift else 1):
+            for i in range(height):
+                c = derivative(mp.mpc(z), i + k + shift) / (mp.factorial(i) * mp.factorial(k + shift))
+                out = [o + c * t for o, t in zip(out, mul(power(N, i), power(X, k)))]
+        return [complex(c) for c in out]
+
+
+def exp_rule(algebra):
+    return lambda k: math.exp(-math.lgamma(k + 1)) * algebra.unit()
+
+
+LOCAL_CASES = (("dual", 2, 0.3 + 0.2j, [0.7]), ("t3", 3, -0.4 + 0.1j, [0.5, -0.3]))
+
+
+@pytest.mark.parametrize("name, height, z, nil", LOCAL_CASES)
+@pytest.mark.parametrize("kind", ["exp", "geometric"])
+def test_power_series_paths_match_mpmath(name, height, z, nil, kind, dual, t3):
+    algebra = {"dual": dual, "t3": t3}[name]
+    phi = ha.identity_morphism(algebra)
+    derivative = mp_exp_derivative if kind == "exp" else mp_geometric_derivative
+    f = (ha.PowerSeries.from_rule(phi, algebra.zero(), exp_rule(algebra)) if kind == "exp"
+         else ha.geometric_series(phi))
+    Z = algebra.element([z] + nil)
+    X = algebra.element([0.0] + [0.25j] * (height - 1))
+    expected = mp_local(derivative, z, nil, height)
+    assert relative_gap(f.evaluate(Z), expected) < 1e-12
+    assert relative_gap(ha.extend_to_cylinder(f, Z), expected) < 1e-12
+    got = ha.nilpotent_derivative(f, Z, X)
+    assert relative_gap(got, mp_local(derivative, z, nil, height, list(X.coords[1:]))) < 1e-12
+
+
+@pytest.mark.parametrize("name, height, z, nil", LOCAL_CASES)
+@pytest.mark.parametrize("kind", ["exp", "geometric"])
+def test_canonical_forms_match_mpmath(name, height, z, nil, kind, dual, t3):
+    algebra = {"dual": dual, "t3": t3}[name]
+    derivative = mp_exp_derivative if kind == "exp" else mp_geometric_derivative
+    rule = exp_rule(algebra) if kind == "exp" else (lambda k: algebra.unit())
+    cf = ha.canonical_form(ha.ScalarSeries(algebra, 0.0, rule=rule), ha.identity_morphism(algebra))
+    Z = algebra.element([z] + nil)
+    assert relative_gap(cf.evaluate(Z), mp_local(derivative, z, nil, height)) < 1e-12
+    assert relative_gap(ha.extend_to_cylinder(cf, Z), mp_local(derivative, z, nil, height)) < 1e-12
+
+
+@st.composite
+def rule_series(draw):
+    """A rule series on a direct sum of catalog factors (dims 2-10) in a random
+    complex unitary basis: B_k = sum_l rho_l^-k e_l u, and a point whose spectral
+    parts sit at half the component rates.  The rates lie in [2, 2.1]: a wider
+    spread lets the rounding error of one component's projection dominate
+    another's coordinates on the tail window, and no two computations of a
+    component radius then agree to 1e-12."""
+    names = draw(st.lists(st.sampled_from(sorted(FACTORS)), min_size=1, max_size=4)
+                 .filter(lambda ns: 2 <= sum(FACTORS[n].dim for n in ns) <= 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    algebra = random_basis_sum(rng, *(FACTORS[n] for n in names))
+    dec = ha.artin_decompose(algebra)
+    rates = rng.uniform(2.0, 2.1, dec.count)
+    u = algebra.unit() + algebra.element(dec.nilradical_basis @ rng.standard_normal(
+        dec.nilradical_basis.shape[1]) * 0.5)
+    parts = [(e * u).coords for e in dec.idempotents]
+    rule = lambda k: algebra.element(sum(p * r ** -k for p, r in zip(parts, rates)))
+    series = ha.PowerSeries.from_rule(ha.identity_morphism(algebra), algebra.zero(), rule)
+    spectral = sum(0.5 * r * np.exp(2j * np.pi * rng.random()) * e.coords
+                   for r, e in zip(rates, dec.idempotents))
+    nilpotent = dec.nilradical_basis @ (rng.standard_normal(dec.nilradical_basis.shape[1])
+                                        + 1j * rng.standard_normal(dec.nilradical_basis.shape[1]))
+    return series, algebra.element(spectral + nilpotent)
+
+
+def loop_radius(series, kind):
+    norms = [series.coefficient(n).norm(kind) for n in range(series.rule_bound + 1)]
+    n = range(series.rule_bound // 2, series.rule_bound + 1)
+    return 1.0 / max(norms[i] ** (1.0 / i) for i in n)
+
+
+def loop_component_radii(series):
+    dec = ha.artin_decompose(series.phi.target)
+    radii = []
+    for ell in range(dec.count):
+        norms = [np.linalg.norm(dec.component_coords(series.coefficient(n), ell))
+                 for n in range(series.rule_bound + 1)]
+        radii.append(1.0 / max(norms[i] ** (1.0 / i)
+                               for i in range(series.rule_bound // 2, series.rule_bound + 1)))
+    return np.array(radii)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(rule_series())
+def test_stacked_radii_and_sums_match_the_element_loops(case):
+    series, Z = case
+    assert abs(series.radius() - loop_radius(series, "frobenius")) <= 1e-12 * series.radius()
+    assert abs(series._radius_estimate("operator") - loop_radius(series, "operator")) \
+        <= 1e-12 * series.radius()
+    loop = loop_component_radii(series)
+    assert np.abs(series.component_radii() - loop).max() <= 1e-12 * loop.max()
+    reference = term_by_term(series, Z)
+    got = series.evaluate(Z)
+    assert relative_gap(got, reference.coords) < 1e-10
+
+
+# -- work counts ---------------------------------------------------------------------------------
+
+def test_rule_is_read_once_per_index(dual, id_dual):
+    calls = []
+    unit = dual.unit()
+    geo = ha.PowerSeries.from_rule(id_dual, dual.zero(), lambda k: calls.append(k) or unit)
+    geo.radius(), geo.component_radii(), geo.spectral_divergence_radius()
+    geo.evaluate(dual.element([0.5, 3.0]))
+    geo.derive().radius()
+    assert calls == list(range(201))
+    # near the radius the budget reads past the window, each index once
+    assert isinstance(geo.evaluate(dual.element([0.95, 3.0])), ha.Element)
+    assert len(calls) > 201 and calls == list(range(len(calls)))
+    geo.evaluate(dual.element([0.95, 3.0]))
+    assert calls == list(range(len(calls)))
+
+
+def test_sum_makes_no_element_product_per_term(monkeypatch):
+    rng = np.random.default_rng(21)
+    algebra = random_basis_sum(rng, FACTORS["t3"], FACTORS["bidual"], FACTORS["dual"],
+                               FACTORS["C"])
+    assert algebra.dim == 10
+    phi = ha.identity_morphism(algebra)
+    geo = ha.geometric_series(phi)
+    dec = ha.artin_decompose(algebra)
+    Z = algebra.element(sum(0.6 * np.exp(1j * k) * e.coords for k, e in enumerate(dec.idempotents))
+                        + dec.nilradical_basis[:, 0])
+    products = []
+    mul = ha.Element.__mul__
+    monkeypatch.setattr(ha.Element, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    value = geo.evaluate(Z)
+    assert products == []
+    monkeypatch.undo()
+    assert (value - (algebra.unit() - Z).invert()).coord_norm() < 1e-10 * value.coord_norm()
+
+
+def test_coefficients_outgrowing_the_estimate_raise(dual, id_dual):
+    unit = dual.unit()
+    # unit coefficients on the window (radius 1), growing as 1.5^k beyond it
+    s = ha.PowerSeries.from_rule(id_dual, dual.zero(),
+                                 lambda k: unit if k <= 200 else 1.5 ** (k - 200) * unit)
+    assert isinstance(s.evaluate(dual.element([0.5, 1.0])), ha.Element)
+    with pytest.raises(NoConvergence, match="outgrow the radius estimate"):
+        s.evaluate(dual.element([0.95, 1.0]))
