@@ -12,10 +12,6 @@ from .algebra import (
     StructureTensor,
     build_algebra,
     invert,
-    mul,
-    norm,
-    regular_representation,
-    spectral_radius,
 )
 from .catalog import (
     bidual,
@@ -70,7 +66,6 @@ from .decomposition import (
     invert_via_series,
     nilradical,
     profile,
-    spectrum,
     unit_group_coords,
     unit_group_exp,
 )

@@ -34,8 +34,6 @@ UNIT_RESIDUAL_TOL = 1e-10
 # Ratio min |sigma_ell(z)| / ||lambda(z)||_F below which z is not a unit.
 SINGULAR_RATIO = 1e-12
 
-NORM_KINDS = ("frobenius", "operator", "direct-sum")
-
 
 def _as_complex_vector(coords: Iterable, dim: int | None = None) -> np.ndarray:
     v = np.asarray(coords, dtype=complex).reshape(-1)
@@ -100,16 +98,12 @@ class StructureTensor:
 
 
 class Algebra:
-    """A validated algebra: tensor + unit coordinates + preferred norm kind."""
+    """A validated algebra: tensor + unit coordinates."""
 
-    def __init__(self, tensor: StructureTensor, unit_coords: np.ndarray,
-                 chosen_norm: str = "frobenius"):
-        if chosen_norm not in NORM_KINDS:
-            raise ValueError(f"chosen_norm must be one of {NORM_KINDS}")
+    def __init__(self, tensor: StructureTensor, unit_coords: np.ndarray):
         self.tensor = tensor
         self.unit_coords = _as_complex_vector(unit_coords, tensor.dim)
         self.unit_coords.flags.writeable = False
-        self.chosen_norm = chosen_norm
         # artin_decompose's results, by seed (see decomposition.artin_decompose)
         self._decompositions: dict = {}
 
@@ -171,7 +165,7 @@ class Algebra:
         return np.einsum("j,jki->ik", coords, self.alpha)
 
 
-def build_algebra(tensor: StructureTensor, chosen_norm: str = "frobenius") -> Algebra:
+def build_algebra(tensor: StructureTensor) -> Algebra:
     """Validate a structure tensor and solve for the unit coordinates.
 
     Raises :class:`NotCommutative` / :class:`NotAssociative` naming the first
@@ -192,7 +186,7 @@ def build_algebra(tensor: StructureTensor, chosen_norm: str = "frobenius") -> Al
     residual = np.abs(system @ eps - target).max()
     if residual > UNIT_RESIDUAL_TOL:
         raise NoUnit(f"unit-law system inconsistent (residual {residual:.3e})")
-    return Algebra(tensor, eps, chosen_norm)
+    return Algebra(tensor, eps)
 
 
 @dataclass(frozen=True)
@@ -323,15 +317,14 @@ class Element:
         """Largest eigenvalue modulus of the regular representation."""
         return float(np.abs(np.linalg.eigvals(self.regular_matrix())).max())
 
-    def norm(self, kind: str | None = None, decomposition=None) -> float:
-        """Submultiplicative norm of the element.
+    def norm(self, kind: str = "frobenius", decomposition=None) -> float:
+        """Submultiplicative norm of the element; ``kind`` is one of
 
-        ``frobenius``  : Frobenius norm of lambda(z);
+        ``frobenius``  : Frobenius norm of lambda(z), the default;
         ``operator``   : spectral (operator 2-)norm of lambda(z), unital;
         ``direct-sum`` : max over local components of the operator norm of the
                          component action; needs ``decomposition``.
         """
-        kind = kind or self.algebra.chosen_norm
         if kind == "frobenius":
             return float(np.linalg.norm(self.regular_matrix(), "fro"))
         if kind == "operator":
@@ -392,25 +385,9 @@ def _batch_norm(algebra: Algebra, x: np.ndarray, kind: str = "frobenius") -> np.
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
-def mul(a: Element, b: Element) -> Element:
-    """Product of two elements of the same algebra."""
-    return a * b
-
-
-def regular_representation(a: Element) -> np.ndarray:
-    return a.regular_matrix()
-
-
 def invert(z: Element) -> Element:
+    """z.invert(), the one module-level wrapper of an Element method."""
     return z.invert()
-
-
-def spectral_radius(z: Element) -> float:
-    return z.spectral_radius()
-
-
-def norm(z: Element, kind: str | None = None, decomposition=None) -> float:
-    return z.norm(kind, decomposition)
 
 
 def rebase_matrix(algebra: Algebra, first: np.ndarray | None = None) -> np.ndarray:

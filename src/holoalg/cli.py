@@ -19,12 +19,7 @@ import numpy as np
 
 from . import fileio
 from .algebra import Algebra, Element
-from .contour import (
-    cif_derivative,
-    cif_value,
-    index_quadrature,
-    index_spectral,
-)
+from .contour import _cif_scale, cif_derivative, index_quadrature, index_spectral
 from .crsystem import (
     gcru_residual,
     dij_residual,
@@ -36,7 +31,7 @@ from .crsystem import (
 )
 from .decomposition import artin_decompose, nilradical, profile
 from .errors import HoloalgError, SchemaError
-from .morphism import Morphism, factor, identity_morphism
+from .morphism import Morphism, identity_morphism
 from .series import Divergent, BoundaryIndeterminate
 
 
@@ -172,14 +167,11 @@ def cmd_index(args):
     phi, _ = _load_morphism_args(args, algebra)
     cycle = fileio.cycle_from_json(fileio.read_json(args.path), algebra)
     point = fileio.load_element(args.point, algebra)
-    dec_a = artin_decompose(algebra, seed=args.seed)
+    spings = index_spectral(cycle, point, phi, seed=args.seed)
     dec_b = artin_decompose(phi.target, seed=args.seed)
-    fact = factor(phi, dec_a, dec_b)
-    spings = index_spectral(cycle, point, phi, dec_a, dec_b, fact, args.seed)
     adm = spings.admissibility
     quad = index_quadrature(cycle, point, phi)
-    quad_components = [complex(dec_b.spectral_rows[ell] @ quad.coords)
-                       for ell in range(dec_b.count)]
+    quad_components = list(dec_b.spectrum(quad))
     report = {
         "admissible": adm.admissible,
         "clearances": list(adm.clearances),
@@ -196,6 +188,10 @@ def cmd_index(args):
 
 
 def cmd_cif(args):
+    try:
+        _cif_scale(args.order)   # a bad --order fails before any work
+    except ValueError as exc:
+        raise SchemaError(f"--order: {exc}") from exc
     algebra, _ = fileio.load_algebra(args.algebra)
     phi, _ = _load_morphism_args(args, algebra)
     series = fileio.function_from_json(fileio.read_json(args.function), phi)
@@ -203,10 +199,7 @@ def cmd_cif(args):
     point = fileio.load_element(args.point, algebra)
     f = series.sampler()
     idx = index_spectral(cycle, point, phi, seed=args.seed)
-    if args.order == 0:
-        integral = cif_value(f, cycle, point, phi)
-    else:
-        integral = cif_derivative(f, cycle, point, args.order, phi)
+    integral = cif_derivative(f, cycle, point, args.order, phi)
     report = {
         "order": args.order,
         "index": list(idx.values),
@@ -359,6 +352,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise SchemaError(f"--seed must be a non-negative integer, got {args.seed}")
         report, lines = args.handler(args)
     except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

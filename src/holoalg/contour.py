@@ -18,7 +18,9 @@ admissible points.
 from __future__ import annotations
 
 import math
+import numbers
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -38,7 +40,7 @@ from .errors import (
     SchemaError,
     WindingUnresolved,
 )
-from .morphism import Factorization, Morphism, factor
+from .morphism import Morphism, factor
 from .series import PowerSeries
 
 ENDPOINT_TOL = 1e-12
@@ -130,9 +132,14 @@ class Path:
     @classmethod
     def circle(cls, center: Element, radius: float, turns: int = 1,
                direction: Element | None = None) -> "Path":
+        """ValueError unless the radius is finite and turns an integer."""
         algebra = center.algebra
         direction = direction if direction is not None else algebra.unit()
-        seg = CircleSegment(algebra, center.coords.copy(), float(radius), int(turns),
+        radius = float(radius)
+        if not math.isfinite(radius) or not isinstance(turns, numbers.Integral):
+            raise ValueError(f"a circle needs a finite radius and whole turns, "
+                             f"got {radius!r} and {turns!r}")
+        seg = CircleSegment(algebra, center.coords.copy(), radius, int(turns),
                             direction.coords.copy())
         return cls(algebra, (seg,), closed=True, kind="circle")
 
@@ -193,6 +200,8 @@ class Cycle:
     terms: tuple[tuple[int, Path], ...]
 
     def __post_init__(self):
+        if not self.terms:
+            raise ValueError("a cycle needs at least one term")
         for mult, path in self.terms:
             if not isinstance(mult, int):
                 raise ValueError("multiplicities must be integers")
@@ -389,48 +398,46 @@ def _cauchy_kernel_integral(cycle: Cycle, Z0: Element, phi: Morphism, powers: Se
 # admissibility and the index
 # ---------------------------------------------------------------------------
 
-def _context(phi: Morphism, dec_source=None, dec_target=None, fact=None, seed: int = 0):
-    dec_source = dec_source or artin_decompose(phi.source, seed=seed)
-    dec_target = dec_target or artin_decompose(phi.target, seed=seed)
-    fact = fact or factor(phi, dec_source, dec_target)
-    return dec_source, dec_target, fact
-
-
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Clearances of the point's spectral parts from the projected supports."""
+    """Clearances of the point's spectral parts from the projected supports,
+    and the cycle's winding numbers about them, per active source component."""
 
     admissible: bool
     active_components: tuple[int, ...]
     clearances: tuple[float, ...]
     thresholds: tuple[float, ...]
+    windings: tuple[int, ...]
 
 
-def admissibility(cycle, Z0: Element, phi: Morphism,
-                  dec_source: Decomposition | None = None,
-                  dec_target: Decomposition | None = None,
-                  fact: Factorization | None = None, seed: int = 0) -> AdmissibilityReport:
+def admissibility(cycle, Z0: Element, phi: Morphism, seed: int = 0) -> AdmissibilityReport:
     """Distance of each active spectral projection of Z0 to the projected cycle.
 
+    The active components are the source components tau hits in the
+    canonical factorization of phi, read from the decompositions cached per
+    ``seed`` (ClusteringAmbiguous when an algebra cannot be decomposed).
     Clearances are exact distances to the projected curves.  The threshold
     of component k is 2 * ADMISSIBILITY_RESOLUTION * L_k, with L_k the
     longest projected length of a path of the cycle; a clearance must exceed
     it, so points on (or numerically indistinguishable from) the projected
-    support are forbidden.
+    support are forbidden.  The same pass gives the windings: the
+    multiplicity-weighted winding number of sigma_k of the cycle about
+    sigma_k(Z0), meaningful only where the clearance is positive.
     """
     cyc = as_cycle(cycle)
-    dec_source, _, fact = _context(phi, dec_source, dec_target, fact, seed)
+    dec_source = artin_decompose(phi.source, seed=seed)
+    fact = factor(phi, dec_source, artin_decompose(phi.target, seed=seed))
     active = fact.active_source_components
-    clearances = []
-    thresholds = []
+    clearances, thresholds, windings = [], [], []
     for k in active:
         row = dec_source.spectral_rows[k]
         w0 = complex(row @ Z0.coords)
         geometry = [_projection(path, row, w0) for _, path in cyc.terms]
         clearances.append(min(dist for _, dist, _ in geometry))
         thresholds.append(2.0 * ADMISSIBILITY_RESOLUTION * max(arc for _, _, arc in geometry))
+        windings.append(sum(mult * wind for (mult, _), (wind, _, _) in zip(cyc.terms, geometry)))
     ok = all(c > t for c, t in zip(clearances, thresholds))
-    return AdmissibilityReport(ok, active, tuple(clearances), tuple(thresholds))
+    return AdmissibilityReport(ok, active, tuple(clearances), tuple(thresholds), tuple(windings))
 
 
 @dataclass(frozen=True)
@@ -476,39 +483,28 @@ def _projection(path: Path, row: np.ndarray, w0: complex) -> tuple[int, float, f
     return round(angle / (2 * math.pi)), dist, arc
 
 
-def _winding(path: Path, row: np.ndarray, w0: complex) -> int:
-    """Winding number of the projected loop about w0 (closed forms, see _projection)."""
-    winding, dist, _ = _projection(path, row, w0)
-    if dist <= ENDPOINT_TOL:
-        raise WindingUnresolved(f"projected point sits on the curve (distance {dist:.2e})")
-    return winding
-
-
-def index_spectral(cycle, Z0: Element, phi: Morphism,
-                   dec_source: Decomposition | None = None,
-                   dec_target: Decomposition | None = None,
-                   fact: Factorization | None = None, seed: int = 0) -> SpectralIndex:
+def index_spectral(cycle, Z0: Element, phi: Morphism, seed: int = 0) -> SpectralIndex:
     """Index as classical winding numbers of the spectral projections.
 
     Exact integers; the value for target component ell is the winding of
-    sigma_{tau(ell)} of the cycle around sigma_{tau(ell)}(Z0).
+    sigma_{tau(ell)} of the cycle around sigma_{tau(ell)}(Z0), read off one
+    :func:`admissibility` pass with the same ``seed``.  NotAdmissible in the
+    forbidden zone; WindingUnresolved when a clearance is at most
+    ENDPOINT_TOL, which a cycle of zero projected length can leave admissible.
     """
-    cyc = as_cycle(cycle)
-    dec_source, dec_target, fact = _context(phi, dec_source, dec_target, fact, seed)
-    report = admissibility(cyc, Z0, phi, dec_source, dec_target, fact, seed)
+    report = admissibility(cycle, Z0, phi, seed)
     if not report.admissible:
         raise NotAdmissible(f"point is in the forbidden zone: {report}")
-
-    values = []
-    element = phi.target.zero()
-    for ell in range(dec_target.count):
-        k = fact.tau[ell]
-        row = dec_source.spectral_rows[k]
-        w0 = complex(row @ Z0.coords)
-        wind = sum(mult * _winding(path, row, w0) for mult, path in cyc.terms)
-        values.append(wind)
-        element = element + wind * dec_target.idempotents[ell]
-    return SpectralIndex(tuple(values), element, report)
+    if min(report.clearances) <= ENDPOINT_TOL:
+        raise WindingUnresolved(f"projected point sits on the curve "
+                                f"(distance {min(report.clearances):.2e})")
+    fact = factor(phi, artin_decompose(phi.source, seed=seed),
+                  artin_decompose(phi.target, seed=seed))
+    winding = dict(zip(report.active_components, report.windings))
+    values = tuple(winding[k] for k in fact.tau)
+    idempotents = fact.dec_target.idempotents
+    element = phi.target.element(sum(v * e.coords for v, e in zip(values, idempotents)))
+    return SpectralIndex(values, element, report)
 
 
 def index_quadrature(cycle, Z0: Element, phi: Morphism,
@@ -563,20 +559,30 @@ def cif_value(f, cycle, Z0: Element, phi: Morphism, tol: float | None = None,
     return cif_derivative(f, cycle, Z0, 0, phi, tol, solve, spot_check, seed)
 
 
+def _cif_scale(k: int) -> complex:
+    """k! / (2 pi i); ValueError unless k >= 0 and k! is a finite double."""
+    if k < 0 or math.lgamma(k + 1) > math.log(sys.float_info.max):
+        raise ValueError(f"derivative order {k} is negative or its factorial "
+                         "overflows a double")
+    return math.factorial(k) / (2j * math.pi)
+
+
 def cif_derivative(f, cycle, Z0: Element, k: int, phi: Morphism,
                    tol: float | None = None, solve: bool = False,
                    spot_check: bool = True, seed: int = 0) -> Element:
     """(k! / 2 pi i) integral of f(W) / phi(W - Z0)^(k+1) dW; k = 0 is cif_value.
 
-    The target is decomposed with ``seed`` to certify the kernel at every
-    node (ClusteringAmbiguous when it cannot be).
+    ValueError before any work unless k >= 0 and k! is a finite double.  The
+    target is decomposed with ``seed`` to certify the kernel at every node
+    (ClusteringAmbiguous when it cannot be).
     """
+    scale = _cif_scale(k)
     cyc = as_cycle(cycle)
     if spot_check:
         _spot_check_holomorphy(f, cyc, phi)
 
     out = _cauchy_kernel_integral(cyc, Z0, phi, (k + 1,), f, tol, seed)[0]
-    out = phi.target.element(out * (math.factorial(k) / (2j * math.pi)))
+    out = phi.target.element(out * scale)
     if not solve:
         return out
     return out * _solve_index(cyc, Z0, phi, seed)

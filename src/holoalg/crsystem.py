@@ -46,18 +46,19 @@ def default_step(Z: Element) -> float:
 
 @dataclass(frozen=True)
 class FunctionSampler:
-    """Deterministic evaluation callback Z |-> f(Z) with declared smooth region.
+    """Deterministic evaluation callback Z |-> f(Z) from source to target.
 
-    ``batch``, when given, is the same map on coordinate stacks: it takes an
-    (n, T) array whose columns are source points and returns the (m, T)
-    array of their values.  :meth:`values` uses it; without it the scalar
-    ``fn`` is looped over the columns.
+    Where f is holomorphic is the caller's claim; the holomorphy tests of this
+    module and the Cauchy formulas' spot check probe it.  ``batch``, when
+    given, is the same map on coordinate stacks: it takes an (n, T) array
+    whose columns are source points and returns the (m, T) array of their
+    values.  :meth:`values` uses it; without it the scalar ``fn`` is looped
+    over the columns.
     """
 
     fn: Callable[[Element], Element]
     source: Algebra
     target: Algebra
-    smooth_region: str = "entire"
     batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, Z: Element) -> Element:
@@ -93,8 +94,7 @@ class FunctionSampler:
 def conjugation_sampler(algebra: Algebra) -> FunctionSampler:
     """Coordinatewise complex conjugation; the canonical non-holomorphic map."""
     return FunctionSampler(lambda Z: algebra.element(np.conj(Z.coords)),
-                           algebra, algebra, smooth_region="entire (not holomorphic)",
-                           batch=np.conj)
+                           algebra, algebra, batch=np.conj)
 
 
 @dataclass(frozen=True)
@@ -194,12 +194,12 @@ class ScheffersSystem:
         return eqs
 
 
-def gcru_system(phi: Morphism, rebase: bool = True) -> PDESystem:
+def gcru_system(phi: Morphism) -> PDESystem:
     """Minimal CR system; re-bases automatically to put the unit first.
 
-    When the source basis does not start with the unit and ``rebase`` is set,
-    the returned system is expressed in the new basis and carries the
-    change-of-basis matrix so emitted PDEs can be pulled back to user
+    When the source basis does not start with the unit, the returned system
+    is expressed in the basis of :func:`rebase_matrix` and carries that
+    change-of-basis matrix, so emitted PDEs can be pulled back to user
     coordinates.
     """
     src = phi.source
@@ -208,8 +208,6 @@ def gcru_system(phi: Morphism, rebase: bool = True) -> PDESystem:
     e1[0] = 1.0
     if np.abs(eps - e1).max() <= 1e-12:
         return PDESystem(src.basis_labels, phi.target.basis_labels, phi.gamma)
-    if not rebase:
-        raise ValueError("source basis does not have the unit first; enable rebase")
     U = rebase_matrix(src)
     new_gammas = np.einsum("rj,rik->jik", U, phi.gamma)
     labels = ("1",) + tuple(f"b{i + 1}" for i in range(1, src.dim))

@@ -108,6 +108,8 @@ class Decomposition:
         return complex(self.spectral_rows[k] @ z.coords)
 
     def spectrum(self, z: Element) -> np.ndarray:
+        """(sigma_1(z), ..., sigma_M(z)); as a multiset these are the eigenvalues
+        of lambda(z) with the component dimensions as multiplicities."""
         return self.spectral_rows @ z.coords
 
     def project(self, z: Element, k: int) -> Element:
@@ -254,12 +256,6 @@ def _component_order(rows, bases) -> list[int]:
         row = np.round(rows[k], 8)
         return (-bases[k].shape[1], tuple(zip(row.real.tolist(), row.imag.tolist())))
     return sorted(range(len(rows)), key=key)
-
-
-def spectrum(z: Element, dec: Decomposition) -> np.ndarray:
-    """(sigma_1(z), ..., sigma_M(z)); as a multiset these are the eigenvalues
-    of lambda(z) with the component dimensions as multiplicities."""
-    return dec.spectrum(z)
 
 
 @dataclass(frozen=True)

@@ -101,10 +101,6 @@ class EstimateViolated(HoloalgError):
 
 # --- series -----------------------------------------------------------------
 
-class NotLocalPair(HoloalgError):
-    """Operation requires a local-to-local morphism (or a factorization)."""
-
-
 class OutsideScalarDomain(HoloalgError):
     """Query point's spectral part lies outside the stored scalar domain."""
 

@@ -164,27 +164,27 @@ def scalar_series_to_json(g: ScalarSeries, height: int) -> dict:
 # -- path / cycle files ----------------------------------------------------------
 
 def path_from_json(data: Any, algebra: Algebra) -> Path:
+    """A circle, polyline or samples path; SchemaError for any malformed field,
+    including what the Path constructors reject."""
     if not isinstance(data, dict) or "type" not in data:
         raise SchemaError("path file must be an object with a type")
     kind = data["type"]
-    if kind == "circle":
-        center = element_from_json(algebra, data.get("center"), "circle center")
-        direction = (element_from_json(algebra, data["direction"], "circle direction")
-                     if "direction" in data else None)
-        try:
-            radius = float(data["radius"])
-            turns = int(data.get("turns", 1))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"circle needs a numeric radius: {exc}") from exc
-        return Path.circle(center, radius, turns, direction)
-    if kind in ("polyline", "samples"):
-        raw = data.get("points")
-        if not isinstance(raw, list) or len(raw) < 2:
-            raise SchemaError(f"{kind} needs at least two points")
-        points = [element_from_json(algebra, p, f"points[{i}]") for i, p in enumerate(raw)]
-        if kind == "polyline":
-            return Path.polyline(points)
-        return Path.samples(points, smooth=bool(data.get("smooth", False)))
+    try:
+        if kind == "circle":
+            center = element_from_json(algebra, data.get("center"), "circle center")
+            direction = (element_from_json(algebra, data["direction"], "circle direction")
+                         if "direction" in data else None)
+            return Path.circle(center, data["radius"], data.get("turns", 1), direction)
+        if kind in ("polyline", "samples"):
+            raw = data.get("points")
+            if not isinstance(raw, list) or len(raw) < 2:
+                raise SchemaError(f"{kind} needs at least two points")
+            points = [element_from_json(algebra, p, f"points[{i}]") for i, p in enumerate(raw)]
+            if kind == "polyline":
+                return Path.polyline(points)
+            return Path.samples(points, smooth=bool(data.get("smooth", False)))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{kind} path: {exc!r}") from exc
     raise SchemaError(f"unknown path type {kind!r}")
 
 
@@ -203,18 +203,21 @@ def path_to_json(path: Path) -> dict:
 
 
 def cycle_from_json(data: Any, algebra: Algebra) -> Cycle:
-    """Either a cycle object {"terms": [{"mult": n, "path": {...}}]} or a bare path."""
+    """Either a cycle object {"terms": [{"mult": n, "path": {...}}]} or a bare path;
+    SchemaError for what :class:`Cycle` rejects (no terms, a non-integer
+    multiplicity, an open path)."""
     if isinstance(data, dict) and "terms" in data:
-        terms = []
-        for i, term in enumerate(data["terms"]):
-            try:
-                mult = int(term["mult"])
-                path = path_from_json(term["path"], algebra)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"terms[{i}] must have mult and path: {exc}") from exc
-            terms.append((mult, path))
-        return Cycle(tuple(terms))
-    return Cycle(((1, path_from_json(data, algebra)),))
+        raw = data["terms"]
+        if not isinstance(raw, list) or not all(
+                isinstance(t, dict) and {"mult", "path"} <= t.keys() for t in raw):
+            raise SchemaError("terms must be a list of objects with mult and path")
+        terms = tuple((t["mult"], path_from_json(t["path"], algebra)) for t in raw)
+    else:
+        terms = ((1, path_from_json(data, algebra)),)
+    try:
+        return Cycle(terms)
+    except ValueError as exc:
+        raise SchemaError(f"cycle: {exc}") from exc
 
 
 def cycle_to_json(cycle: Cycle) -> dict:

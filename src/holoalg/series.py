@@ -33,15 +33,9 @@ import numpy as np
 
 from .algebra import Algebra, Element, _batch_mul, _batch_norm, _batch_regular
 from .crsystem import FunctionSampler
-from .decomposition import Decomposition, artin_decompose
-from .errors import (
-    EstimateViolated,
-    NoConvergence,
-    NotLocalPair,
-    NotNilpotent,
-    OutsideScalarDomain,
-)
-from .morphism import Factorization, Morphism, factor
+from .decomposition import Decomposition, artin_decompose, profile
+from .errors import EstimateViolated, NoConvergence, NotNilpotent, OutsideScalarDomain
+from .morphism import Morphism, factor
 
 DEFAULT_RULE_BOUND = 200
 TRUNCATION_TOL = 1e-12
@@ -209,7 +203,6 @@ class PowerSeries(_Coefficients):
             raise ValueError("center must live in the source algebra")
         self.phi = phi
         self.center = center
-        self._ctx: dict[int, tuple[Decomposition, Decomposition, Factorization]] = {}
         self._component_radii: np.ndarray | None = None
         self._radius: float | None = None
 
@@ -226,14 +219,6 @@ class PowerSeries(_Coefficients):
     @property
     def degree(self) -> int | None:
         return len(self.coeffs) - 1 if self.coeffs is not None else None
-
-    def context(self, seed: int = 0):
-        """(source decomposition, target decomposition, factorization), cached per seed."""
-        if seed not in self._ctx:
-            dec_a = artin_decompose(self.phi.source, seed=seed)
-            dec_b = artin_decompose(self.phi.target, seed=seed)
-            self._ctx[seed] = (dec_a, dec_b, factor(self.phi, dec_a, dec_b))
-        return self._ctx[seed]
 
     def radius(self) -> float:
         """1 / limsup ||B_n||^(1/n), from the tail window [N/2, N]; cached.
@@ -290,21 +275,21 @@ class PowerSeries(_Coefficients):
         component radii: the coefficients' tail bound for the term budget."""
         return np.linalg.norm(self.target.alpha), self.component_radii()
 
-    def evaluate(self, Z: Element, boundary_band: float = BOUNDARY_BAND,
-                 tol: float = TRUNCATION_TOL):
+    def evaluate(self, Z: Element):
         """Sum the series at Z, or report Divergent / BoundaryIndeterminate.
 
         The verdict per matched component depends only on the spectral part
         |sigma_k(Z - Z0)| against the component radius; the nilpotent part is
-        irrelevant.  ``boundary_band`` is the relative width of the
-        indeterminate band around the estimated radius.
+        irrelevant.  BOUNDARY_BAND is the relative width of the indeterminate
+        band around the estimated radius, and TRUNCATION_TOL scales the bound
+        on the last terms summed.
         """
         if not self.phi.source.compatible(Z.algebra):
             raise ValueError("point must live in the source algebra")
         if self.is_polynomial:
             return self.target.element(self._horner(Z.coords[:, None])[:, 0])
         s, P = self._local(Z)
-        thr = self._threshold(s, boundary_band, tol)
+        thr = self._threshold(s)
         if isinstance(thr, _Verdict):
             return thr
         return self.target.element(self._expand(s, P, thr))
@@ -317,20 +302,21 @@ class PowerSeries(_Coefficients):
         return _local_parts(dec, self.phi.matrix @ (Z.coords - self.center.coords),
                             [d + (x is not None) for d in dec.component_dims], x)
 
-    def _threshold(self, s: np.ndarray, boundary_band: float, tol: float):
+    def _threshold(self, s: np.ndarray):
         """Verdict on the spectral parts s_l, or the bound on the last terms' norms:
-        tol over the geometric tail factor in q = max_l |s_l| / (RADIUS_SHRINK r_l),
-        with the worst admissible ratio when q >= 1 inside the verdict band."""
+        TRUNCATION_TOL over the geometric tail factor in
+        q = max_l |s_l| / (RADIUS_SHRINK r_l), with the worst admissible ratio
+        when q >= 1 inside the verdict band."""
         radii = self.component_radii()
         finite = np.isfinite(radii)
         rho, r = np.abs(s)[finite], radii[finite]
-        if np.any(rho > r * (1 + boundary_band)):
+        if np.any(rho > r * (1 + BOUNDARY_BAND)):
             return Divergent
-        if np.any(rho >= r * (1 - boundary_band)):
+        if np.any(rho >= r * (1 - BOUNDARY_BAND)):
             return BoundaryIndeterminate
         q = float((rho / (RADIUS_SHRINK * r)).max(initial=0.0))
         tail_factor = q / (1 - q) if 0 < q < 1 else (99.0 if q >= 1 else 1.0)
-        return tol / max(tail_factor, 1.0)
+        return TRUNCATION_TOL / max(tail_factor, 1.0)
 
     def evaluate_strict(self, Z: Element) -> Element:
         out = self.evaluate(Z)
@@ -344,7 +330,6 @@ class PowerSeries(_Coefficients):
     def sampler(self) -> FunctionSampler:
         """The series as a sampler; polynomials also evaluate coordinate stacks."""
         return FunctionSampler(self.evaluate_strict, self.phi.source, self.phi.target,
-                               smooth_region="open spectral polycylinder of convergence",
                                batch=self._horner if self.is_polynomial else None)
 
     def _horner(self, X: np.ndarray) -> np.ndarray:
@@ -397,31 +382,29 @@ class ScalarSeries(_Coefficients):
     def _tail(self):
         return 1.0, np.array([self.radius()])
 
-    def derivative(self, z: complex, order: int = 0,
-                   tol: float = TRUNCATION_TOL) -> Element:
-        """g^(order)(z) = sum_{j>=order} j!/(j-order)! c_j (z - z0)^(j-order)."""
+    def derivative(self, z: complex, order: int = 0) -> Element:
+        """g^(order)(z) = sum_{j>=order} j!/(j-order)! c_j (z - z0)^(j-order),
+        summed to TRUNCATION_TOL."""
         P = np.zeros((self.target.dim, 1, order + 1), dtype=complex)
         P[:, 0, order] = math.factorial(order) * self.target.unit_coords
-        return self.target.element(self._expand(np.array([complex(z) - self.center]), P, tol))
+        z = np.array([complex(z) - self.center])
+        return self.target.element(self._expand(z, P, TRUNCATION_TOL))
 
 
 class CanonicalForm:
     """Evaluator f(z (+) X) = sum_{k < nu} g^(k)(z)/k! phi(X)^k.
 
-    Stores the scalar Taylor data g (a C-holomorphic map into the target) per
-    matched component together with the height nu of the local morphism pair.
+    Stores the scalar Taylor data g (a C-holomorphic map into the target)
+    together with the height nu of the local morphism pair of each target
+    component and the target's decomposition.
     """
 
     def __init__(self, phi: Morphism, scalar: ScalarSeries,
-                 heights: tuple[int, ...],
-                 dec_source: Decomposition, dec_target: Decomposition,
-                 fact: Factorization):
+                 heights: tuple[int, ...], dec_target: Decomposition):
         self.phi = phi
         self.scalar = scalar
         self.heights = heights
-        self.dec_source = dec_source
         self.dec_target = dec_target
-        self.fact = fact
 
     def scalar_radius(self) -> float:
         return self.scalar.radius()
@@ -439,34 +422,24 @@ class CanonicalForm:
             self.scalar._expand(z - self.scalar.center, P, TRUNCATION_TOL))
 
     def sampler(self) -> FunctionSampler:
-        return FunctionSampler(self.evaluate, self.phi.source, self.phi.target,
-                               smooth_region="scalar disc x nilradical cylinder")
+        return FunctionSampler(self.evaluate, self.phi.source, self.phi.target)
 
 
-def canonical_form(g: ScalarSeries, phi: Morphism,
-                   dec_source: Decomposition | None = None,
-                   dec_target: Decomposition | None = None,
-                   fact: Factorization | None = None,
-                   seed: int = 0) -> CanonicalForm:
+def canonical_form(g: ScalarSeries, phi: Morphism, seed: int = 0) -> CanonicalForm:
     """Lift scalar Taylor data to the holomorphic map on the spectral cylinder.
 
-    Without a factorization both algebras must be local
-    (:class:`NotLocalPair` otherwise); with one, the construction runs per
-    matched component with height nu = min of the two local heights.
+    Any morphism is accepted: phi is factored through the decompositions
+    cached per ``seed``, and the construction runs per target component ell
+    with height nu = min of the local heights of tau(ell) and ell.
     """
-    from .decomposition import profile  # local import to keep module load light
-
-    dec_source = dec_source or artin_decompose(phi.source, seed=seed)
-    dec_target = dec_target or artin_decompose(phi.target, seed=seed)
-    if fact is None:
-        if dec_source.count != 1 or dec_target.count != 1:
-            raise NotLocalPair("algebras are not local; factor the morphism first")
-        fact = factor(phi, dec_source, dec_target)
+    dec_source = artin_decompose(phi.source, seed=seed)
+    dec_target = artin_decompose(phi.target, seed=seed)
+    fact = factor(phi, dec_source, dec_target)
     heights_a = profile(phi.source, dec_source).heights
     heights_b = profile(phi.target, dec_target).heights
     heights = tuple(min(heights_a[fact.tau[ell]], heights_b[ell])
                     for ell in range(dec_target.count))
-    return CanonicalForm(phi, g, heights, dec_source, dec_target, fact)
+    return CanonicalForm(phi, g, heights, dec_target)
 
 
 def nilpotent_derivative(s: PowerSeries, Z: Element, X: Element) -> Element:
@@ -485,7 +458,7 @@ def nilpotent_derivative(s: PowerSeries, Z: Element, X: Element) -> Element:
             raise NotNilpotent("increment is not in the nilradical")
 
     sv, P = s._local(Z, X)
-    thr = s._threshold(sv, BOUNDARY_BAND, TRUNCATION_TOL)
+    thr = s._threshold(sv)
     if isinstance(thr, _Verdict):
         raise OutsideScalarDomain(f"series verdict at the point: {thr!r}")
     return s.target.element(s._expand(sv, P, thr))

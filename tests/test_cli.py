@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -264,3 +265,49 @@ def test_index_through_a_morphism_file(files, capsys, tmp_path, cline, sigma_dua
 def test_unknown_flags_rejected(files):
     with pytest.raises(SystemExit):
         main(["validate", files["dual"], "--frobnicate"])
+
+
+def circle_file(**fields):
+    data = {"type": "circle", "center": [[0, 0], [0, 0]], "radius": 1.0}
+    data.update(fields)
+    return data
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(circle_file(radius=float("nan"))),
+    json.dumps(circle_file(radius=float("inf"))),
+    json.dumps(circle_file(turns=1.5)),
+    json.dumps(circle_file(turns=1e300)),
+    json.dumps(circle_file(turns=10 ** 400)),
+    json.dumps({"terms": [{"mult": 1.5, "path": circle_file()}]}),
+    json.dumps({"terms": []}),
+    json.dumps({"terms": {"mult": 1}}),
+], ids=["radius-nan", "radius-inf", "turns-fraction", "turns-1e300", "turns-10^400",
+        "mult-fraction", "no-terms", "terms-not-a-list"])
+def test_bad_path_and_cycle_files_are_one_line_errors(files, capsys, tmp_path, text):
+    path = tmp_path / "bad_path.json"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a RuntimeWarning would escape main as an exception
+        code, out, err = run(capsys, "index", "--algebra", files["dual"], "--path", str(path),
+                             "--point", files["origin"])
+    assert one_line_error(code, out, err), err
+
+
+@pytest.mark.parametrize("argv", [
+    ("cif", "--order", "-1"),
+    ("cif", "--order", "200"),
+    ("decompose", "--seed", "-1"),
+    ("index", "--seed", "-1"),
+], ids=["order-negative", "order-factorial-overflows", "decompose-seed", "index-seed"])
+def test_bad_order_and_seed_are_one_line_errors(files, capsys, monkeypatch, argv):
+    from holoalg import contour
+    monkeypatch.setattr(contour, "_cauchy_kernel_integral",
+                        lambda *a, **k: pytest.fail("integrated before checking the order"))
+    command, *flags = argv
+    inputs = {"cif": ["--algebra", files["dual"], "--function", files["cubic"],
+                      "--path", files["circle"], "--point", files["origin"]],
+              "decompose": [files["split"]],
+              "index": ["--algebra", files["dual"], "--path", files["circle"],
+                        "--point", files["origin"]]}[command]
+    assert one_line_error(*run(capsys, command, *inputs, *flags))

@@ -5,7 +5,6 @@ import pytest
 
 import holoalg as ha
 from holoalg import contour
-from holoalg.contour import _winding
 from holoalg.errors import (
     EstimateViolated,
     IndexNotInvertible,
@@ -68,8 +67,8 @@ def test_unsmooth_samples_rejected(dual, id_dual):
         ha.length(rough, id_dual)
     with pytest.raises(NotSmooth):
         ha.integrate(const_sampler(dual, [1, 0]), rough, id_dual)
-    # winding only needs positions
-    assert _winding(rough, np.array([1, 0], dtype=complex), 0j) == 1
+    # the spectral index only needs positions
+    assert ha.index_spectral(rough, dual.zero(), id_dual).values == (1,)
 
 
 def test_paths_compare_and_hash_by_identity(dual):
@@ -319,10 +318,23 @@ def test_index_agreement_across_families(dual, split, id_dual, id_split):
                 checked += 1
 
 
-def test_winding_unresolved_on_curve_point(dual):
-    circ = unit_circle(dual)
+def test_winding_unresolved_on_curve_point(dual, id_dual):
+    # the loop 0 -> eps -> 0 projects to the single point 0: its length, and so
+    # its forbidden band, is zero, and 1e-13 is admissible yet on the curve
+    loop = ha.Path.polyline([dual.zero(), dual.element([0, 1]), dual.zero()])
     with pytest.raises(WindingUnresolved):
-        _winding(circ, np.array([1, 0], dtype=complex), 1.0 + 0j)
+        ha.index_spectral(loop, dual.scalar(1e-13), id_dual)
+
+
+def test_index_spectral_projects_each_path_once_per_component(split, id_split, monkeypatch):
+    calls = []
+    projection = contour._projection
+    monkeypatch.setattr(contour, "_projection",
+                        lambda *a: calls.append(1) or projection(*a))
+    cycle = ha.Cycle(((1, ha.Path.circle(split.scalar(-0.7), 0.5)),
+                      (-1, ha.Path.circle(split.scalar(0.7), 0.5))))
+    assert ha.index_spectral(cycle, split.scalar(-0.7), id_split).values == (1, 1)
+    assert len(calls) == 2 * 2   # active components x paths, in one admissibility pass
 
 
 # -- Cauchy integral formulas --------------------------------------------------------------

@@ -10,7 +10,6 @@ import holoalg as ha
 from holoalg.errors import (
     EstimateViolated,
     NoConvergence,
-    NotLocalPair,
     NotNilpotent,
     OutsideScalarDomain,
 )
@@ -63,16 +62,6 @@ def test_radius_disagreement_is_typed(id_dual, monkeypatch):
                         lambda self, kind: 1.0 if kind == "frobenius" else 2.0)
     with pytest.raises(EstimateViolated, match="disagree beyond 5%"):
         ha.geometric_series(id_dual).radius()
-
-
-def test_context_follows_the_seed():
-    split = ha.split_complex()
-    f = ha.PowerSeries.polynomial(ha.identity_morphism(split), split.zero(), [split.unit()])
-    first = f.context()
-    assert f.context(seed=0) is first
-    dec_a, dec_b, _ = f.context(seed=1)
-    assert dec_a is ha.artin_decompose(split, seed=1) is dec_b
-    assert dec_a is not first[0]
 
 
 def test_spectral_divergence_radius_dominates(id_dual):
@@ -185,16 +174,21 @@ def test_canonical_square_over_t3(t3):
     assert_coords(got, [z * z, 2 * z * x1, 2 * z * x2 + x1 * x1], tol=1e-10)
 
 
-def test_canonical_requires_local_pair(cc):
-    phi = ha.identity_morphism(cc)
+def test_canonical_form_of_a_non_local_pair(cc):
+    # canonical_form factors phi itself, so a direct sum works componentwise
     g = ha.ScalarSeries(cc, 0.0, coeffs=[cc.unit()])
-    with pytest.raises(NotLocalPair):
-        ha.canonical_form(g, phi)
-    # with the factorization attached it works componentwise
-    dec = ha.artin_decompose(cc)
-    fact = ha.factor(phi, dec, dec)
-    cf = ha.canonical_form(g, phi, dec, dec, fact)
+    cf = ha.canonical_form(g, ha.identity_morphism(cc))
     assert (cf.evaluate(cc.element([2.0, 3.0])) - cc.unit()).coord_norm() < 1e-12
+
+
+def test_canonical_exp_over_dual_plus_c(dual_plus_c):
+    # basis (1, eps) of the dual block, then the unit of C: exp(z + w eps, u) =
+    # (e^z, e^z w, e^u), one closed form per component
+    cf = ha.canonical_form(exp_scalar_series(dual_plus_c), ha.identity_morphism(dual_plus_c))
+    assert cf.heights == (2, 1)
+    for z, w, u in ((0.3, -2.0, 0.5j), (-1.0 + 0.5j, 4.0, -0.8), (0.0, 1.0, 1.2 - 0.3j)):
+        got = cf.evaluate(dual_plus_c.element([z, w, u]))
+        assert_coords(got, [np.exp(z), np.exp(z) * w, np.exp(u)], tol=1e-10)
 
 
 def test_canonical_shifted_data_matches_derivative(t3):
