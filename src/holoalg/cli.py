@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fileio
 from .algebra import Algebra, Element
-from .contour import _cif_scale, cif_derivative, index_quadrature, index_spectral
+from .contour import _cif_scale, _index_inverse, cif_derivative, index_quadrature, index_spectral
 from .crsystem import (
     gcru_residual,
     dij_residual,
@@ -170,7 +170,7 @@ def cmd_index(args):
     spings = index_spectral(cycle, point, phi, seed=args.seed)
     dec_b = artin_decompose(phi.target, seed=args.seed)
     adm = spings.admissibility
-    quad = index_quadrature(cycle, point, phi)
+    quad = index_quadrature(cycle, point, phi, seed=args.seed)
     quad_components = list(dec_b.spectrum(quad))
     report = {
         "admissible": adm.admissible,
@@ -199,7 +199,7 @@ def cmd_cif(args):
     point = fileio.load_element(args.point, algebra)
     f = series.sampler()
     idx = index_spectral(cycle, point, phi, seed=args.seed)
-    integral = cif_derivative(f, cycle, point, args.order, phi)
+    integral = cif_derivative(f, cycle, point, args.order, phi, seed=args.seed)
     report = {
         "order": args.order,
         "index": list(idx.values),
@@ -208,7 +208,7 @@ def cmd_cif(args):
     lines = [f"index = {list(idx.values)}",
              f"(k!/2 pi i) integral = {fmt_el(integral)} (k={args.order})"]
     if all(v != 0 for v in idx.values):
-        solved = integral * idx.element.invert()
+        solved = integral * _index_inverse(idx, phi.target, args.seed)
         report["value"] = fileio.element_to_json(solved)
         label = "f(Z0)" if args.order == 0 else f"f^({args.order})(Z0)"
         lines.append(f"{label} = {fmt_el(solved)}")

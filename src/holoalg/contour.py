@@ -2,13 +2,17 @@
 
 Paths are piecewise-C1 with closed-form kinds (circles and polylines carry
 exact derivatives); user-sampled paths are accepted as dense polylines when
-flagged smooth.  All contour integrals go through one integrator: composite
-Gauss-Legendre of order 16 with interval halving, refined breadth first over
-every segment of every path of a cycle, so that each level samples the
-integrand once at the nodes of all its unconverged panels.  A panel passes at
-an absolute per-coordinate tolerance halved per level (default 1e-10,
-overridable through HOLOALG_TOL); QUAD_MAX_DEPTH levels and a budget of
-QUAD_MAX_PANELS panels per segment bound the work.  The generalized index is
+flagged smooth.  All contour integrals go through one integrator, refined
+breadth first over every segment of every path of a cycle, so that each
+level samples the integrand once at the new nodes of all unconverged
+segments.  The rule is chosen by segment kind.  A circle, on which the
+integrand is periodic in t, takes the periodic trapezoid rule with nested
+node doubling from 16 nodes; it passes when two successive estimates agree
+to the absolute per-coordinate tolerance (default 1e-10, overridable through
+HOLOALG_TOL), within 16 * QUAD_MAX_PANELS nodes.  A line segment takes
+composite Gauss-Legendre of order 16 with interval halving; a panel passes
+at the tolerance halved per level, within QUAD_MAX_PANELS panels.
+QUAD_MAX_DEPTH levels bound both.  The generalized index is
 computed two independent ways: winding numbers of the spectral projections,
 exact because each path kind projects to a segment or a circle in C, and
 direct quadrature of the reproducing kernel; the two must agree to 1e-8 on
@@ -46,7 +50,7 @@ from .series import PowerSeries
 ENDPOINT_TOL = 1e-12
 ADMISSIBILITY_RESOLUTION = 1e-4   # forbidden band, as a share of the projected length
 QUAD_MAX_DEPTH = 20
-QUAD_MAX_PANELS = 10_000   # panels one integral may evaluate on each segment
+QUAD_MAX_PANELS = 10_000   # panels an integral may take on a line; 16x as many nodes on a circle
 # entries of the (nodes, m, m) stacks one integrand call may build: larger
 # levels are evaluated in blocks, so memory does not grow with the segments
 QUAD_BLOCK_ENTRIES = 1 << 14
@@ -227,7 +231,18 @@ def as_cycle(obj) -> Cycle:
 
 def _quadrature(terms, phi: Morphism, integrand, tol: float | None,
                 speed_kind: str = "frobenius") -> tuple[np.ndarray, float]:
-    """Adaptive GL16 over every segment of every (mult, path) term, breadth first.
+    """Integrals over every segment of every (mult, path) term, breadth first.
+
+    A circle segment, whose integrand is periodic and analytic in t, takes
+    the periodic trapezoid rule: T_16 on the nodes t = j/16, then each level
+    adds the N nodes halfway between the N it has, T_2N = (T_N + mean of the
+    new samples) / 2, until max |T_2N - T_N| < tol, within 16 * QUAD_MAX_PANELS
+    nodes.  The estimate cannot see a Fourier mode of the integrand at a
+    nonzero multiple of 2N that no other mode accompanies.  A line segment
+    takes GL16 with interval halving: a panel passes when its two halves agree
+    with it to tol / 2**depth, within QUAD_MAX_PANELS panels.  Each level
+    samples the integrand once at the new nodes of every unconverged segment,
+    in blocks of at most QUAD_BLOCK_ENTRIES matrix entries.
 
     ``integrand(points, velocities)`` maps the (n, T) source nodes and their
     (m, T) pushed velocities phi(gamma') to ``(values, sizes)``: a (B, m, T)
@@ -235,7 +250,8 @@ def _quadrature(terms, phi: Morphism, integrand, tol: float | None,
     velocity; ``None`` integrates only the speed.  Returns the (B, m)
     integrals, weighted by multiplicity, and the ``speed_kind`` arc length,
     weighted by its absolute value.  Each integral over each path is checked
-    against ||integral|| <= sup ||size|| * arc on that path (Frobenius norms).
+    against ||integral|| <= sup ||size|| * arc on that path (Frobenius norms),
+    the sup taken over every node evaluated.
     """
     tol = quad_tolerance(tol)
     tgt = phi.target
@@ -248,18 +264,20 @@ def _quadrature(terms, phi: Morphism, integrand, tol: float | None,
             labels.append(f"path {p} segment {k}")
     owner = np.array(owner)
     mults = np.array([mult for mult, _ in terms], dtype=float)
-    sups = []
-    block = max(1, QUAD_BLOCK_ENTRIES // (len(_GL_NODES) * tgt.dim ** 2))
+    is_circle = np.array([isinstance(seg, CircleSegment) for seg in segs])
+    sizes_seen = []   # (path of each run, (B, runs) largest size) per integrand call
+    run = len(_GL_NODES)   # nodes of a panel, and of a circle's first level
+    block = max(1, QUAD_BLOCK_ENTRIES // (run * tgt.dim ** 2))
 
-    def panels(idx, a, b):
-        """GL16 estimates, one row per panel [a, b] of segment idx (idx sorted)."""
+    def runs(idx, ts, ws):
+        """Weighted row sums, one per run of 16 nodes: segment idx[r] at ts[r]
+        with weights ws[r] (the runs of one segment are contiguous)."""
         if len(idx) > block:
-            return np.concatenate([panels(idx[i:i + block], a[i:i + block], b[i:i + block])
+            return np.concatenate([runs(idx[i:i + block], ts[i:i + block], ws[i:i + block])
                                    for i in range(0, len(idx), block)])
-        ts = 0.5 * (b - a)[:, None] * _GL_NODES + 0.5 * (a + b)[:, None]
-        starts = np.flatnonzero(np.r_[True, idx[1:] != idx[:-1]])
+        cuts = [0, *(np.flatnonzero(idx[1:] != idx[:-1]) + 1).tolist(), len(idx)]
         pts, vel = [], []
-        for i, j in zip(starts, np.r_[starts[1:], len(idx)]):
+        for i, j in zip(cuts, cuts[1:]):
             seg, t = segs[idx[i]], ts[i:j].ravel()
             pts.append(seg.points(t))
             vel.append(seg.velocities(t))
@@ -267,57 +285,87 @@ def _quadrature(terms, phi: Morphism, integrand, tol: float | None,
         rows = _batch_norm(tgt, vel, speed_kind)[None]
         if integrand is not None:
             values, sizes = integrand(np.concatenate(pts, axis=1), vel)
-            sup = np.zeros((len(terms), len(sizes)))
-            np.maximum.at(sup, np.repeat(owner[idx], len(_GL_NODES)), sizes.T)
-            sups.append(sup)
+            sizes_seen.append((owner[idx], sizes.reshape(len(sizes), len(idx), run).max(axis=2)))
             rows = np.concatenate([values.reshape(-1, vel.shape[1]), rows])
-        sums = rows.reshape(len(rows), len(idx), len(_GL_NODES)) @ _GL_WEIGHTS
-        return (0.5 * (b - a) * sums).T
+        return np.einsum("rpj,pj->pr", rows.reshape(len(rows), len(idx), run), ws)
+
+    def level(idx, a, b, circ, ts):
+        """One pass: GL16 sums over the panels [a, b] of the lines idx, and the
+        mean of the rows at the nodes ts of each circle in circ."""
+        k = len(ts) // run
+        parts = []
+        if len(idx):
+            h = 0.5 * (b - a)[:, None]
+            parts.append((idx, h * _GL_NODES + (a[:, None] + h), h * _GL_WEIGHTS))
+        if len(circ):
+            parts.append((np.repeat(circ, k), np.tile(ts.reshape(k, run), (len(circ), 1)),
+                          np.full((len(circ) * k, run), 1 / len(ts))))
+        sums = runs(*(np.concatenate(x) for x in zip(*parts)))
+        means = sums[len(idx):].reshape(len(circ), k, sums.shape[1]).sum(axis=1)
+        return sums[:len(idx)], means
 
     def where(seg, lo, hi):
         return f"{labels[seg]}, t in [{lo:.17g}, {hi:.17g}]"
 
-    idx = np.arange(len(segs))
-    a, b = np.zeros(len(segs)), np.ones(len(segs))
-    whole = panels(idx, a, b)
+    idx, circ = np.flatnonzero(~is_circle), np.flatnonzero(is_circle)
+    a, b = np.zeros(len(idx)), np.ones(len(idx))
+    whole, trap = level(idx, a, b, circ, np.arange(run) / run)
     used = np.ones(len(segs), dtype=int)
-    total = np.zeros((len(terms), whole.shape[1]), dtype=complex)
+    seg_total = np.zeros((len(segs), whole.shape[1]), dtype=complex)
     for depth in range(QUAD_MAX_DEPTH + 1):
-        used += 2 * np.bincount(idx, minlength=len(segs))
-        if used.max() > QUAD_MAX_PANELS:
-            s = int(np.argmax(used))
+        n = run << depth   # nodes each unconverged circle has, and adds now
+        if len(idx):
+            used += 2 * np.bincount(idx, minlength=len(segs))
+            if used.max() > QUAD_MAX_PANELS:
+                s = int(np.argmax(used))
+                raise QuadratureNoConvergence(
+                    f"panel budget {QUAD_MAX_PANELS} of a segment exhausted at depth {depth}, "
+                    f"unconverged at {where(s, a[idx == s].min(), b[idx == s].max())}")
+            mid = 0.5 * (a + b)
+            idx, a, b = (np.repeat(idx, 2), np.column_stack([a, mid]).ravel(),
+                         np.column_stack([mid, b]).ravel())
+        if len(circ) and 2 * n > run * QUAD_MAX_PANELS:
             raise QuadratureNoConvergence(
-                f"panel budget {QUAD_MAX_PANELS} of a segment exhausted at depth {depth}, "
-                f"unconverged at {where(s, a[idx == s].min(), b[idx == s].max())}")
-        mid = 0.5 * (a + b)
-        idx2 = np.repeat(idx, 2)
-        a2 = np.column_stack([a, mid]).ravel()
-        b2 = np.column_stack([mid, b]).ravel()
-        halves = panels(idx2, a2, b2)
-        pair = halves[0::2] + halves[1::2]
-        err = np.abs(pair - whole).max(axis=1)
-        done = err < tol / 2 ** depth
-        np.add.at(total, owner[idx[done]], pair[done])
-        if done.all():
+                f"node budget {run * QUAD_MAX_PANELS} of a circle exhausted at depth {depth}, "
+                f"unconverged at {labels[circ[0]]} after {n} nodes")
+        halves, new = level(idx, a, b, circ, (np.arange(n) + 0.5) / n)
+        if len(idx):
+            pair = halves[0::2] + halves[1::2]
+            err = np.abs(pair - whole).max(axis=1)
+            done = err < tol / 2 ** depth
+            np.add.at(seg_total, idx[0::2][done], pair[done])
+            keep = np.repeat(~done, 2)
+            idx, a, b, whole = idx[keep], a[keep], b[keep], halves[keep]
+        if len(circ):
+            doubled = 0.5 * (trap + new)
+            done = np.abs(doubled - trap).max(axis=1) < tol
+            seg_total[circ[done]] = doubled[done]
+            circ, trap = circ[~done], doubled[~done]
+        if not len(idx) and not len(circ):
             break
-        if depth == QUAD_MAX_DEPTH:
-            w = int(np.argmax(err))
-            raise QuadratureNoConvergence(f"interval halving exhausted depth "
-                                          f"{QUAD_MAX_DEPTH} at {where(idx[w], a[w], b[w])}")
-        keep = np.repeat(~done, 2)
-        idx, a, b, whole = idx2[keep], a2[keep], b2[keep], halves[keep]
+    else:
+        at = (where(idx[0], a[0], b[1]) if len(idx)
+              else f"{labels[circ[0]]} after {2 * n} nodes")
+        raise QuadratureNoConvergence(f"refinement exhausted depth {QUAD_MAX_DEPTH} at {at}")
+
+    total = np.zeros((len(terms), seg_total.shape[1]), dtype=complex)
+    np.add.at(total, owner, seg_total)
 
     per_path = total[:, :-1].reshape(len(terms), -1, tgt.dim)
     arcs = total[:, -1].real
     if per_path.shape[1]:
-        bounds = np.max(sups, axis=0) * arcs[:, None]
+        sup = np.zeros((len(terms), per_path.shape[1]))
+        for run_owner, sizes in sizes_seen:
+            np.maximum.at(sup, run_owner, sizes.T)
+        bounds = sup * arcs[:, None]
         norms = _batch_norm(tgt, per_path.reshape(-1, tgt.dim).T).reshape(bounds.shape)
         for p, i in np.argwhere(norms > bounds * (1 + 1e-6) + 1e-9):
             raise EstimateViolated(
                 f"quadrature result {i} on path {p} violates the norm estimate "
                 f"({norms[p, i]:.3e} > {bounds[p, i]:.3e}); integrand is likely "
                 "discontinuous on the path")
-    return np.tensordot(mults, per_path, axes=1), float(np.abs(mults) @ arcs)
+    weighted = (mults @ per_path.reshape(len(terms), -1)).reshape(-1, tgt.dim)
+    return weighted, float(np.abs(mults) @ arcs)
 
 
 def _sampled(f, source: Algebra, target: Algebra) -> FunctionSampler:
@@ -333,8 +381,9 @@ def length(path: Path, phi: Morphism, norm_kind: str = "frobenius",
 def integrate(f, path: Path, phi: Morphism, tol: float | None = None) -> Element:
     """Contour integral of f(Z) dZ, i.e. integral of f(gamma(t)) phi(gamma'(t)) dt.
 
-    Composite Gauss-Legendre (order 16) with interval halving to the given
-    per-coordinate absolute tolerance.  The submultiplicative estimate
+    The trapezoid rule on circles and Gauss-Legendre (order 16) on line
+    segments, to the given per-coordinate absolute tolerance (see
+    :func:`_quadrature`).  The submultiplicative estimate
     ||integral|| <= sup ||f|| * L is verified on the computed result.
     """
     return _integrate_terms(f, ((1, path),), phi, tol)
@@ -384,12 +433,13 @@ def _cauchy_kernel_integral(cycle: Cycle, Z0: Element, phi: Morphism, powers: Se
         stack = [inv]
         for _ in range(max(powers) - 1):
             stack.append(_batch_mul(tgt, stack[-1], inv))
-        kernels = [stack[p - 1] for p in powers]
+        # one (m, B T) stack, power by power, so that each product is one call
+        kernels = np.concatenate([stack[p - 1] for p in powers], axis=1)
         if sampler is not None:
-            fv = sampler.values(pts)
-            kernels = [_batch_mul(tgt, fv, k) for k in kernels]
-        return (np.stack([_batch_mul(tgt, k, vel) for k in kernels]),
-                np.stack([_batch_norm(tgt, k) for k in kernels]))
+            kernels = _batch_mul(tgt, np.tile(sampler.values(pts), len(powers)), kernels)
+        values = _batch_mul(tgt, kernels, np.tile(vel, len(powers)))
+        return (values.reshape(tgt.dim, len(powers), -1).transpose(1, 0, 2),
+                _batch_norm(tgt, kernels).reshape(len(powers), -1))
 
     return _quadrature(cycle.terms, phi, integrand, tol)[0]
 
@@ -508,15 +558,15 @@ def index_spectral(cycle, Z0: Element, phi: Morphism, seed: int = 0) -> Spectral
 
 
 def index_quadrature(cycle, Z0: Element, phi: Morphism,
-                     tol: float | None = None) -> Element:
+                     tol: float | None = None, seed: int = 0) -> Element:
     """(1 / 2 pi i) times the integral of dZ / phi(Z - Z0) over the cycle.
 
     The value comes from the quadrature alone.  The target is decomposed
-    (seed 0) only to certify that phi(W - Z0) is a unit at every node:
+    with ``seed`` only to certify that phi(W - Z0) is a unit at every node:
     NotAUnit when it is not, ClusteringAmbiguous when the target cannot be
     decomposed.
     """
-    out = _cauchy_kernel_integral(as_cycle(cycle), Z0, phi, (1,), tol=tol)[0]
+    out = _cauchy_kernel_integral(as_cycle(cycle), Z0, phi, (1,), tol=tol, seed=seed)[0]
     return phi.target.element(out * (1.0 / (2j * math.pi)))
 
 
@@ -538,12 +588,13 @@ def _spot_check_holomorphy(f, cycle: Cycle, phi: Morphism) -> None:
             return
 
 
-def _solve_index(cycle: Cycle, Z0: Element, phi: Morphism, seed: int) -> Element:
-    """Inverse of the spectral index; IndexNotInvertible when a component is zero."""
-    idx = index_spectral(cycle, Z0, phi, seed=seed)
+def _index_inverse(idx: SpectralIndex, target: Algebra, seed: int) -> Element:
+    """sum_l e_l / v_l over the target's idempotents, decomposed with ``seed``;
+    IndexNotInvertible when a component v_l is zero."""
     if any(v == 0 for v in idx.values):
         raise IndexNotInvertible(f"index {idx.values} has a zero component")
-    return idx.element.invert()
+    idempotents = artin_decompose(target, seed=seed).idempotents
+    return target.element(sum(e.coords / v for v, e in zip(idx.values, idempotents)))
 
 
 def cif_value(f, cycle, Z0: Element, phi: Morphism, tol: float | None = None,
@@ -573,10 +624,14 @@ def cif_derivative(f, cycle, Z0: Element, k: int, phi: Morphism,
     """(k! / 2 pi i) integral of f(W) / phi(W - Z0)^(k+1) dW; k = 0 is cif_value.
 
     ValueError before any work unless k >= 0 and k! is a finite double.  The
-    target is decomposed with ``seed`` to certify the kernel at every node
+    integral is asked for to tol * min(1, 2 pi / k!), so that the tolerance
+    bounds the error of the value returned; an order whose factorial pushes
+    that below rounding ends in QuadratureNoConvergence.  The target is
+    decomposed with ``seed`` to certify the kernel at every node
     (ClusteringAmbiguous when it cannot be).
     """
     scale = _cif_scale(k)
+    tol = quad_tolerance(tol) * min(1.0, 2 * math.pi / math.factorial(k))
     cyc = as_cycle(cycle)
     if spot_check:
         _spot_check_holomorphy(f, cyc, phi)
@@ -585,7 +640,7 @@ def cif_derivative(f, cycle, Z0: Element, k: int, phi: Morphism,
     out = phi.target.element(out * scale)
     if not solve:
         return out
-    return out * _solve_index(cyc, Z0, phi, seed)
+    return out * _index_inverse(index_spectral(cyc, Z0, phi, seed), phi.target, seed)
 
 
 def _scalar_circle_at(cycle: Cycle, Z0: Element) -> CircleSegment | None:
@@ -614,7 +669,7 @@ def taylor_from_contour(f, cycle, Z0: Element, K: int, phi: Morphism,
     """
     cyc = as_cycle(cycle)
     tgt = phi.target
-    inv_idx = _solve_index(cyc, Z0, phi, seed)
+    inv_idx = _index_inverse(index_spectral(cyc, Z0, phi, seed), tgt, seed)
     _spot_check_holomorphy(f, cyc, phi)
 
     raw = _cauchy_kernel_integral(cyc, Z0, phi, range(1, K + 2), f, tol, seed)
@@ -662,7 +717,7 @@ def homological_cif_check(f, cycle, Z0: Element, phi: Morphism,
     """
     cyc = as_cycle(cycle)
     idx = index_spectral(cyc, Z0, phi, seed=seed)
-    rhs = cif_value(f, cyc, Z0, phi, tol, spot_check=False)
+    rhs = cif_value(f, cyc, Z0, phi, tol, spot_check=False, seed=seed)
     lhs = f(Z0) * idx.element
     residual = (lhs - rhs).norm("frobenius")
     plain = integrate_cycle(f, cyc, phi, tol).norm("frobenius")

@@ -137,10 +137,11 @@ def test_plain_callable_matches_the_batched_sampler(dual, id_dual, cubic):
 
 
 # Nodes at which the integrand is evaluated, per integral, for
-# Z0 = 0.3 + 0.2 eps; recorded from the depth-first integrator this one
-# replaced, which accepted exactly the same panels.
+# Z0 = 0.3 + 0.2 eps.  The line rows were recorded from the depth-first
+# integrator this one replaced, which accepted exactly the same panels; the
+# circle row counts the trapezoid levels 16 + 16 (+ 32).
 EXPECTED_NODES = {
-    "circle": {"index": 112, "cif": 112, "derivative": 240, "integrate": 112},
+    "circle": {"index": 64, "cif": 64, "derivative": 64, "integrate": 32},
     "square": {"index": 256, "cif": 256, "derivative": 384, "integrate": 192},
     "ellipse": {"index": 6144, "cif": 6144, "derivative": 6144, "integrate": 6144},
 }
@@ -170,12 +171,13 @@ def test_node_counts_unchanged(dual, id_dual, cubic, monkeypatch):
 
 
 def test_node_counts_near_the_curve_unchanged(dual, id_dual, monkeypatch):
-    # a kernel peaked near the circle refines unevenly over many levels
+    # equispaced nodes cannot refine locally: a kernel peaked near the circle
+    # doubles the whole circle's nodes until the peak is resolved
     kernel_nodes = []
     batch_inv = contour._batch_inv
     monkeypatch.setattr(contour, "_batch_inv",
                         lambda A, w: kernel_nodes.append(w.shape[1]) or batch_inv(A, w))
-    for tol, expected in ((1e-10, 880), (1e-6, 752)):
+    for tol, expected in ((1e-10, 2048), (1e-6, 2048)):
         kernel_nodes.clear()
         ha.index_quadrature(unit_circle(dual), dual.element([0.97, 0.1]), id_dual, tol=tol)
         assert sum(kernel_nodes) == expected
@@ -223,6 +225,130 @@ def test_large_levels_are_evaluated_in_blocks(dual, id_dual, cubic, monkeypatch)
     blocked = ha.integrate(f, sampled_ellipse(dual), id_dual)
     assert np.abs((whole - blocked).coords).max() < 1e-13
     assert max(seen) == 8 * 16 and len(seen) > calls
+
+
+# -- the periodic trapezoid rule on circles -------------------------------------------------
+
+POLY = np.polynomial.Polynomial([1.0, -2.0, 0.5j, 1.0])
+
+
+def poly_derivative(j, s):
+    return POLY.deriv(j)(s)
+
+
+def geometric_derivative(j, s):
+    return math.factorial(j) / (1 - s) ** (j + 1)
+
+
+def dual_derivative(derivative, Z, k):
+    """f^(k)(s + b eps) = f^(k)(s) + b f^(k+1)(s) eps for f with scalar coefficients."""
+    s, b = Z.coords
+    return np.array([derivative(k, s), b * derivative(k + 1, s)])
+
+
+def circle_cases(dual):
+    """(path, turns, direction) about the center 0.1 + 0.05 eps with radius 0.5."""
+    center, skew = dual.element([0.1, 0.05]), dual.element([0.8 - 0.3j, 0.4])
+    return [(ha.Path.circle(center, 0.5), 1, dual.unit()),
+            (ha.Path.circle(center, 0.5, turns=2), 2, dual.unit()),
+            (ha.Path.circle(center, 0.5).reversed(), -1, dual.unit()),
+            (ha.Path.circle(center, 0.5, direction=skew), 1, skew)]
+
+
+def points_around(dual, direction, ratios=(0, 0.4, 0.9, 0.97)):
+    """(Z0, inside, orders): |s0 - 0.1| / R = q inside and 2 - q outside, so the
+    clearance is (1 - q) R.  Order 3 is left out near the curve, where rounding
+    in its kernel, of size clearance^-5 on dual numbers, passes 1e-10."""
+    R = 0.5 * abs(direction.coords[0])
+    for q in ratios:
+        for inside in (True, False):
+            rho = q if inside else 2 - q
+            Z0 = dual.element([0.1 + rho * R * np.exp(0.7j), 0.3 - 0.1j])
+            yield Z0, inside, (0, 1, 3) if q <= 0.4 else (0, 1)
+
+
+def assert_close(got, exact, tol=1e-10):
+    gap = np.abs(got.coords - exact).max()
+    assert gap < tol * max(1.0, np.abs(exact).max()), gap
+
+
+def test_circle_rule_matches_closed_forms(dual, id_dual):
+    poly = ha.PowerSeries.polynomial(id_dual, dual.zero(),
+                                     [dual.scalar(c) for c in POLY.coef]).sampler()
+    for path, turns, direction in circle_cases(dual):
+        for Z0, inside, orders in points_around(dual, direction):
+            wind = turns if inside else 0
+            assert_close(ha.index_quadrature(path, Z0, id_dual), [wind, 0])
+            for k in orders:
+                assert_close(ha.cif_derivative(poly, path, Z0, k, id_dual, spot_check=False),
+                             wind * dual_derivative(poly_derivative, Z0, k))
+    # a rule series loops over the nodes: fewer of them, inside its radius 1
+    geometric = ha.geometric_series(id_dual).sampler()
+    for path, turns, direction in circle_cases(dual)[::2]:
+        for Z0, inside, orders in points_around(dual, direction, (0, 0.4)):
+            for k in orders:
+                exact = dual_derivative(geometric_derivative, Z0, k)
+                assert_close(ha.cif_derivative(geometric, path, Z0, k, id_dual, spot_check=False),
+                             (turns if inside else 0) * exact)
+
+
+def test_circle_integrals_match_closed_forms(dual, id_dual, cubic):
+    conj = ha.conjugation_sampler(dual)
+    for path, turns, direction in circle_cases(dual):
+        assert_close(ha.integrate(cubic.sampler(), path, id_dual), [0, 0])
+        # conj(W) dW = 2 pi i turns r^2 conj(d) d dt, and the center term averages out
+        conj_d = dual.element(np.conj(direction.coords))
+        assert_close(ha.integrate(conj, path, id_dual),
+                     (2j * np.pi * turns * 0.25 * conj_d * direction).coords)
+
+
+def test_circle_rule_through_a_pushforward(dual, cline, sigma_dual):
+    # sigma(center + r e d) is the circle about 0.1 of radius 0.5 |sigma(d)| in C
+    poly = ha.PowerSeries.polynomial(sigma_dual, dual.zero(),
+                                     [cline.scalar(c) for c in POLY.coef]).sampler()
+    geometric = ha.geometric_series(sigma_dual).sampler()
+    for path, turns, direction in circle_cases(dual)[::3]:
+        assert_close(ha.integrate(poly, path, sigma_dual), [0])
+        for Z0, inside, orders in points_around(dual, direction):
+            wind = turns if inside else 0
+            s0 = Z0.coords[0]
+            assert_close(ha.index_quadrature(path, Z0, sigma_dual), [wind])
+            for k in orders:
+                assert_close(ha.cif_derivative(poly, path, Z0, k, sigma_dual, spot_check=False),
+                             [wind * poly_derivative(k, s0)])
+        for Z0, inside, _ in points_around(dual, direction, (0, 0.4)):
+            assert_close(ha.cif_value(geometric, path, Z0, sigma_dual, spot_check=False),
+                         [(turns if inside else 0) * geometric_derivative(0, Z0.coords[0])])
+
+
+def test_circle_node_budget_names_the_segment(dual, id_dual, monkeypatch):
+    # a jump on the circle never converges: 16 + 16 + 32 + 64 nodes fill a budget of 128
+    monkeypatch.setattr(contour, "QUAD_MAX_PANELS", 8)
+    seen = []
+    f = counting(ha.FunctionSampler(lambda Z: dual.unit() if Z.coords[0].real > 0.3
+                                    else dual.zero(), dual, dual), seen)
+    with pytest.raises(QuadratureNoConvergence,
+                       match=r"node budget 128 of a circle exhausted at depth 3, "
+                             r"unconverged at path 0 segment 0 after 128 nodes"):
+        ha.integrate(f, unit_circle(dual), id_dual)
+    assert seen == [16, 16, 32, 64]
+    monkeypatch.setattr(contour, "QUAD_MAX_DEPTH", 1)
+    with pytest.raises(QuadratureNoConvergence, match=r"refinement exhausted depth 1 at "
+                                                      r"path 0 segment 0 after 64 nodes"):
+        ha.integrate(f, unit_circle(dual), id_dual)
+
+
+def test_large_circle_levels_are_evaluated_in_blocks(dual, id_dual, cubic, monkeypatch):
+    Z0 = dual.element([0.97, 0.1])   # levels of up to 1,024 new nodes
+    seen = []
+    f = counting(cubic.sampler(), seen)
+    whole = ha.cif_value(f, unit_circle(dual), Z0, id_dual, spot_check=False)
+    calls = len(seen)
+    monkeypatch.setattr(contour, "QUAD_BLOCK_ENTRIES", 16 * 4 * 8)   # 128 nodes per call
+    seen.clear()
+    blocked = ha.cif_value(f, unit_circle(dual), Z0, id_dual, spot_check=False)
+    assert np.abs((whole - blocked).coords).max() < 1e-13
+    assert max(seen) == 128 and len(seen) > calls
 
 
 # -- Taylor recovery ------------------------------------------------------------------------

@@ -207,6 +207,27 @@ def test_cif_command(files, capsys):
     assert np.abs(value - [6, 12]).max() < 1e-8
 
 
+def test_cif_order_past_the_tolerance_is_a_validation_failure(files, capsys):
+    code, out, err = run(capsys, "cif", "--algebra", files["dual"], "--function",
+                         files["cubic"], "--path", files["circle"], "--point",
+                         files["origin"], "--order", "20")
+    assert code == 2 and out == "" and len(err.strip().splitlines()) == 1
+    assert err.startswith("validation failed: QuadratureNoConvergence: node budget")
+
+
+@pytest.mark.parametrize("command", ["cif", "index"])
+def test_seed_reaches_every_decomposition(files, capsys, monkeypatch, command):
+    from holoalg import decomposition
+    seeds = []
+    worker = decomposition._decompose
+    monkeypatch.setattr(decomposition, "_decompose",
+                        lambda algebra, seed: seeds.append(seed) or worker(algebra, seed))
+    extra = ["--function", files["cubic"], "--order", "1"] if command == "cif" else []
+    code, _, _ = run(capsys, command, "--algebra", files["dual"], "--path", files["circle"],
+                     "--point", files["origin"], "--seed", "3", *extra)
+    assert code == 0 and seeds and set(seeds) == {3}
+
+
 def test_series_command(files, capsys):
     code, out, _ = run(capsys, "series", "--algebra", files["dual"], "--function",
                        files["cubic"], "--point", files["w"], "--json")

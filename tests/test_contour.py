@@ -372,6 +372,21 @@ def test_cif_derivatives(dual, id_dual, cubic):
     assert ha.cif_derivative(f, circ, dual.zero(), 5, id_dual).coord_norm() < 1e-7
 
 
+def test_cif_derivative_tolerance_bounds_the_value(dual, id_dual, cubic):
+    # f = a3 Z^3 + a2 Z^2 + a0 and its derivatives at Z0, in the algebra
+    a3, a2, a0 = dual.element([1, 2]), dual.element([-1, 1]), dual.element([1, 3])
+    Z0 = dual.element([0.3, 0.2])
+    exact = [a3 * Z0 * Z0 * Z0 + a2 * Z0 * Z0 + a0, 3 * a3 * Z0 * Z0 + 2 * a2 * Z0,
+             6 * a3 * Z0 + 2 * a2, 6 * a3]
+    circ = unit_circle(dual)
+    for k, value in enumerate(exact):
+        assert_coords(ha.cif_derivative(cubic.sampler(), circ, Z0, k, id_dual), value.coords)
+    assert ha.cif_derivative(cubic.sampler(), circ, Z0, 5, id_dual).coord_norm() < 1e-10
+    # 20! / 2 pi asks for an integral below rounding: the node budget ends it
+    with pytest.raises(QuadratureNoConvergence, match="node budget 160000 of a circle"):
+        ha.cif_derivative(cubic.sampler(), circ, Z0, 20, id_dual)
+
+
 def test_cif_derivative_order_zero_is_cif_value(dual, id_dual, cubic):
     circ = unit_circle(dual)
     f = cubic.sampler()

@@ -175,3 +175,15 @@ def test_one_decomposition_per_algebra_and_seed(monkeypatch):
         ha.index_spectral(unit_circle(algebra), algebra.zero(), phi, seed=1)
     assert points >= 12
     assert sorted(seen) == sorted((id(a), s) for a in algebras for s in (0, 1))
+
+
+def test_seed_reaches_the_cauchy_layer(cubic):
+    # each call decomposes its freshly built algebra with the caller's seed only
+    f = cubic.sampler()
+    for call in (lambda A, phi: ha.index_quadrature(unit_circle(A), A.zero(), phi, seed=3),
+                 lambda A, phi: ha.cif_derivative(f, unit_circle(A), A.zero(), 1, phi, seed=3),
+                 lambda A, phi: ha.homological_cif_check(f, unit_circle(A), A.zero(), phi,
+                                                         seed=3)):
+        algebra = ha.dual_numbers()
+        call(algebra, ha.identity_morphism(algebra))
+        assert list(algebra._decompositions) == [3]
