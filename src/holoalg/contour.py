@@ -6,13 +6,13 @@ flagged smooth.  All contour integrals go through one integrator, refined
 breadth first over every segment of every path of a cycle, so that each
 level samples the integrand once at the new nodes of all unconverged
 segments.  The rule is chosen by segment kind.  A circle, on which the
-integrand is periodic in t, takes the periodic trapezoid rule with nested
-node doubling from 16 nodes; it passes when two successive estimates agree
-to the absolute per-coordinate tolerance (default 1e-10, overridable through
-HOLOALG_TOL), within 16 * QUAD_MAX_PANELS nodes.  A line segment takes
-composite Gauss-Legendre of order 16 with interval halving; a panel passes
-at the tolerance halved per level, within QUAD_MAX_PANELS panels.
-QUAD_MAX_DEPTH levels bound both.  The generalized index is
+integrand is periodic in t, takes the periodic trapezoid rule over one turn
+with nested node doubling from 32 nodes; it passes when two successive
+estimates agree to the absolute per-coordinate tolerance (default 1e-10,
+overridable through HOLOALG_TOL), within 16 * QUAD_MAX_PANELS nodes.  A line
+segment takes composite Gauss-Legendre of order 16 with interval halving; a
+panel passes at the tolerance halved per level, within QUAD_MAX_PANELS
+panels.  QUAD_MAX_DEPTH levels bound both.  The generalized index is
 computed two independent ways: winding numbers of the spectral projections,
 exact because each path kind projects to a segment or a circle in C, and
 direct quadrature of the reproducing kernel; the two must agree to 1e-8 on
@@ -234,15 +234,17 @@ def _quadrature(terms, phi: Morphism, integrand, tol: float | None,
     """Integrals over every segment of every (mult, path) term, breadth first.
 
     A circle segment, whose integrand is periodic and analytic in t, takes
-    the periodic trapezoid rule: T_16 on the nodes t = j/16, then each level
+    the periodic trapezoid rule over one of its turns (the integrand has
+    period 1 / |turns|): T_32 on the nodes j/32 of the turn, then each level
     adds the N nodes halfway between the N it has, T_2N = (T_N + mean of the
-    new samples) / 2, until max |T_2N - T_N| < tol, within 16 * QUAD_MAX_PANELS
-    nodes.  The estimate cannot see a Fourier mode of the integrand at a
-    nonzero multiple of 2N that no other mode accompanies.  A line segment
-    takes GL16 with interval halving: a panel passes when its two halves agree
-    with it to tol / 2**depth, within QUAD_MAX_PANELS panels.  Each level
-    samples the integrand once at the new nodes of every unconverged segment,
-    in blocks of at most QUAD_BLOCK_ENTRIES matrix entries.
+    new samples) / 2, until max |T_2N - T_N| < tol, within 16 *
+    QUAD_MAX_PANELS nodes.  The estimate cannot see Fourier modes of the
+    integrand at multiples of 2N: an integrand whose modes are all multiples
+    of 64 (1 + Z^64 about 0) stops on a wrong value.  A line segment takes
+    GL16 with interval halving: a panel passes when its two halves agree with
+    it to tol / 2**depth, within QUAD_MAX_PANELS panels.  Each level samples
+    the integrand once at the new nodes of every unconverged segment, in
+    blocks of at most QUAD_BLOCK_ENTRIES matrix entries.
 
     ``integrand(points, velocities)`` maps the (n, T) source nodes and their
     (m, T) pushed velocities phi(gamma') to ``(values, sizes)``: a (B, m, T)
@@ -265,8 +267,15 @@ def _quadrature(terms, phi: Morphism, integrand, tol: float | None,
     owner = np.array(owner)
     mults = np.array([mult for mult, _ in terms], dtype=float)
     is_circle = np.array([isinstance(seg, CircleSegment) for seg in segs])
+    # the integrand has period 1 / |turns| in t, so a circle samples one turn
+    span = np.array([1 / max(abs(seg.turns), 1) if circle else 1.0
+                     for seg, circle in zip(segs, is_circle)])
     sizes_seen = []   # (path of each run, (B, runs) largest size) per integrand call
-    run = len(_GL_NODES)   # nodes of a panel, and of a circle's first level
+    run = len(_GL_NODES)   # nodes of a panel
+    # a circle starts at 32 nodes, so its first comparison is T_64 against
+    # T_32: T_16 = T_32 whenever the integrand's modes are multiples of 32
+    # (Z^32 about 0)
+    first = 2 * run
     block = max(1, QUAD_BLOCK_ENTRIES // (run * tgt.dim ** 2))
 
     def runs(idx, ts, ws):
@@ -289,17 +298,19 @@ def _quadrature(terms, phi: Morphism, integrand, tol: float | None,
             rows = np.concatenate([values.reshape(-1, vel.shape[1]), rows])
         return np.einsum("rpj,pj->pr", rows.reshape(len(rows), len(idx), run), ws)
 
-    def level(idx, a, b, circ, ts):
+    def level(idx, a, b, circ, n, offset):
         """One pass: GL16 sums over the panels [a, b] of the lines idx, and the
-        mean of the rows at the nodes ts of each circle in circ."""
-        k = len(ts) // run
+        mean of the rows at the n nodes (j + offset) / n of one turn of each
+        circle in circ."""
+        k = n // run
         parts = []
         if len(idx):
             h = 0.5 * (b - a)[:, None]
             parts.append((idx, h * _GL_NODES + (a[:, None] + h), h * _GL_WEIGHTS))
         if len(circ):
-            parts.append((np.repeat(circ, k), np.tile(ts.reshape(k, run), (len(circ), 1)),
-                          np.full((len(circ) * k, run), 1 / len(ts))))
+            ts = ((np.arange(n) + offset) / n).reshape(k, run)
+            ts = np.repeat(span[circ], k)[:, None] * np.tile(ts, (len(circ), 1))
+            parts.append((np.repeat(circ, k), ts, np.full((len(circ) * k, run), 1 / n)))
         sums = runs(*(np.concatenate(x) for x in zip(*parts)))
         means = sums[len(idx):].reshape(len(circ), k, sums.shape[1]).sum(axis=1)
         return sums[:len(idx)], means
@@ -309,11 +320,12 @@ def _quadrature(terms, phi: Morphism, integrand, tol: float | None,
 
     idx, circ = np.flatnonzero(~is_circle), np.flatnonzero(is_circle)
     a, b = np.zeros(len(idx)), np.ones(len(idx))
-    whole, trap = level(idx, a, b, circ, np.arange(run) / run)
+    whole, trap = level(idx, a, b, circ, first, 0.0)
     used = np.ones(len(segs), dtype=int)
     seg_total = np.zeros((len(segs), whole.shape[1]), dtype=complex)
+    exhausted = f"refinement exhausted depth {QUAD_MAX_DEPTH} at"
     for depth in range(QUAD_MAX_DEPTH + 1):
-        n = run << depth   # nodes each unconverged circle has, and adds now
+        n = first << depth   # nodes each unconverged circle has, and adds now
         if len(idx):
             used += 2 * np.bincount(idx, minlength=len(segs))
             if used.max() > QUAD_MAX_PANELS:
@@ -328,25 +340,27 @@ def _quadrature(terms, phi: Morphism, integrand, tol: float | None,
             raise QuadratureNoConvergence(
                 f"node budget {run * QUAD_MAX_PANELS} of a circle exhausted at depth {depth}, "
                 f"unconverged at {labels[circ[0]]} after {n} nodes")
-        halves, new = level(idx, a, b, circ, (np.arange(n) + 0.5) / n)
+        halves, new = level(idx, a, b, circ, n, 0.5)
         if len(idx):
             pair = halves[0::2] + halves[1::2]
             err = np.abs(pair - whole).max(axis=1)
             done = err < tol / 2 ** depth
+            if depth == QUAD_MAX_DEPTH and not done.all():
+                w = 2 * int(np.argmax(err))
+                raise QuadratureNoConvergence(f"{exhausted} {where(idx[w], a[w], b[w + 1])}")
             np.add.at(seg_total, idx[0::2][done], pair[done])
             keep = np.repeat(~done, 2)
             idx, a, b, whole = idx[keep], a[keep], b[keep], halves[keep]
         if len(circ):
             doubled = 0.5 * (trap + new)
             done = np.abs(doubled - trap).max(axis=1) < tol
+            if depth == QUAD_MAX_DEPTH and not done.all():
+                raise QuadratureNoConvergence(
+                    f"{exhausted} {labels[circ[~done][0]]} after {2 * n} nodes")
             seg_total[circ[done]] = doubled[done]
             circ, trap = circ[~done], doubled[~done]
         if not len(idx) and not len(circ):
             break
-    else:
-        at = (where(idx[0], a[0], b[1]) if len(idx)
-              else f"{labels[circ[0]]} after {2 * n} nodes")
-        raise QuadratureNoConvergence(f"refinement exhausted depth {QUAD_MAX_DEPTH} at {at}")
 
     total = np.zeros((len(terms), seg_total.shape[1]), dtype=complex)
     np.add.at(total, owner, seg_total)

@@ -139,9 +139,9 @@ def test_plain_callable_matches_the_batched_sampler(dual, id_dual, cubic):
 # Nodes at which the integrand is evaluated, per integral, for
 # Z0 = 0.3 + 0.2 eps.  The line rows were recorded from the depth-first
 # integrator this one replaced, which accepted exactly the same panels; the
-# circle row counts the trapezoid levels 16 + 16 (+ 32).
+# circle row counts the trapezoid levels 32 + 32, the least a circle takes.
 EXPECTED_NODES = {
-    "circle": {"index": 64, "cif": 64, "derivative": 64, "integrate": 32},
+    "circle": {"index": 64, "cif": 64, "derivative": 64, "integrate": 64},
     "square": {"index": 256, "cif": 256, "derivative": 384, "integrate": 192},
     "ellipse": {"index": 6144, "cif": 6144, "derivative": 6144, "integrate": 6144},
 }
@@ -205,6 +205,20 @@ def test_panel_budget_names_the_segment(dual, id_dual, monkeypatch):
     with pytest.raises(QuadratureNoConvergence,
                        match=r"panel budget 20 of a segment exhausted at depth 5, "
                              r"unconverged at path 0 segment 1, t in \[0\.25, 0\.3125\]"):
+        ha.integrate(f, path, id_dual, tol=1e-13)
+
+
+def test_depth_exhaustion_names_the_worst_panel(dual, id_dual, monkeypatch):
+    # jumps at t = 0.4 of segment 0 (height 0.01) and t = 0.3 of segment 1
+    # (height 1): the larger one is named, with its panel at depth 3
+    monkeypatch.setattr(contour, "QUAD_MAX_DEPTH", 3)
+    f = ha.FunctionSampler(lambda Z: dual.unit() * ((Z.coords[0].real > 0.30000001)
+                                                    + 0.01 * (Z.coords[0].real > -0.6)),
+                           dual, dual)
+    path = ha.Path.polyline([dual.scalar(-1.0), dual.zero(), dual.unit()])
+    with pytest.raises(QuadratureNoConvergence,
+                       match=r"refinement exhausted depth 3 at "
+                             r"path 0 segment 1, t in \[0\.25, 0\.375\]$"):
         ha.integrate(f, path, id_dual, tol=1e-13)
 
 
@@ -322,20 +336,64 @@ def test_circle_rule_through_a_pushforward(dual, cline, sigma_dual):
 
 
 def test_circle_node_budget_names_the_segment(dual, id_dual, monkeypatch):
-    # a jump on the circle never converges: 16 + 16 + 32 + 64 nodes fill a budget of 128
+    # a jump on the circle never converges: 32 + 32 + 64 nodes fill a budget of 128
     monkeypatch.setattr(contour, "QUAD_MAX_PANELS", 8)
     seen = []
     f = counting(ha.FunctionSampler(lambda Z: dual.unit() if Z.coords[0].real > 0.3
                                     else dual.zero(), dual, dual), seen)
     with pytest.raises(QuadratureNoConvergence,
-                       match=r"node budget 128 of a circle exhausted at depth 3, "
+                       match=r"node budget 128 of a circle exhausted at depth 2, "
                              r"unconverged at path 0 segment 0 after 128 nodes"):
         ha.integrate(f, unit_circle(dual), id_dual)
-    assert seen == [16, 16, 32, 64]
-    monkeypatch.setattr(contour, "QUAD_MAX_DEPTH", 1)
-    with pytest.raises(QuadratureNoConvergence, match=r"refinement exhausted depth 1 at "
+    assert seen == [32, 32, 64]
+    monkeypatch.setattr(contour, "QUAD_MAX_DEPTH", 0)
+    with pytest.raises(QuadratureNoConvergence, match=r"refinement exhausted depth 0 at "
                                                       r"path 0 segment 0 after 64 nodes"):
         ha.integrate(f, unit_circle(dual), id_dual)
+
+
+def test_many_turn_circles_sample_one_turn(dual, id_dual, monkeypatch):
+    # the integrand has period 1 / |turns| in t: over all of [0, 1], every
+    # node of T_32 on a 32-turn circle would sit at gamma(0)
+    kernel_nodes = []
+    batch_inv = contour._batch_inv
+    monkeypatch.setattr(contour, "_batch_inv",
+                        lambda A, w: kernel_nodes.append(w.shape[1]) or batch_inv(A, w))
+    poly = ha.PowerSeries.polynomial(id_dual, dual.zero(),
+                                     [dual.scalar(c) for c in POLY.coef]).sampler()
+    center, Z0 = dual.element([0.1, 0.05]), dual.element([0.35, 0.3])   # halfway out
+    nodes = set()
+    for turns in (1, 2, 32, -32, 64):
+        path = ha.Path.circle(center, 0.5, turns=turns)
+        kernel_nodes.clear()
+        assert_close(ha.index_quadrature(path, Z0, id_dual), [turns, 0])
+        nodes.add(sum(kernel_nodes))
+        assert_close(ha.cif_value(poly, path, Z0, id_dual, spot_check=False),
+                     turns * dual_derivative(poly_derivative, Z0, 0))
+    assert len(nodes) == 1   # as many nodes as one turn takes
+    assert_close(ha.index_quadrature(ha.Path.circle(center, 0.5, turns=0), Z0, id_dual), [0, 0])
+
+
+def lone_mode(dual, id_dual, degree):
+    """1 + Z^degree: about 0 on the unit circle the Cauchy integrand is
+    2 pi i (1 + e^(i degree theta)), whose only modes are 0 and degree."""
+    coeffs = [dual.scalar(1.0)] + [dual.zero()] * (degree - 1) + [dual.scalar(1.0)]
+    return ha.PowerSeries.polynomial(id_dual, dual.zero(), coeffs).sampler()
+
+
+def test_circle_rule_sees_a_lone_mode_at_32(dual, id_dual):
+    # T_16 = T_32 = 2 here, and T_64 = T_128 = 1: the rule starts at T_32
+    value = ha.cif_value(lone_mode(dual, id_dual, 32), unit_circle(dual), dual.zero(), id_dual,
+                         spot_check=False)
+    assert_close(value, [1, 0])
+
+
+@pytest.mark.xfail(strict=True, reason="T_32 = T_64 = 2 when every mode of the integrand "
+                                       "is a multiple of 64; the rule stops on 2")
+def test_circle_rule_misses_a_lone_mode_at_64(dual, id_dual):
+    value = ha.cif_value(lone_mode(dual, id_dual, 64), unit_circle(dual), dual.zero(), id_dual,
+                         spot_check=False)
+    assert_close(value, [1, 0])
 
 
 def test_large_circle_levels_are_evaluated_in_blocks(dual, id_dual, cubic, monkeypatch):
