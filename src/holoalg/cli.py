@@ -21,6 +21,7 @@ from . import fileio
 from .algebra import Algebra, Element
 from .contour import _cif_scale, _index_inverse, cif_derivative, index_quadrature, index_spectral
 from .crsystem import (
+    default_step,
     gcru_residual,
     dij_residual,
     gcru_system,
@@ -134,12 +135,14 @@ def cmd_crgen(args):
 
 
 def cmd_check(args):
+    if args.step is not None and not (math.isfinite(args.step) and args.step > 0):
+        raise SchemaError(f"--step must be a positive finite number, got {args.step}")
     algebra, _ = fileio.load_algebra(args.algebra)
     phi, _ = _load_morphism_args(args, algebra)
     series = fileio.function_from_json(fileio.read_json(args.function), phi)
     point = fileio.load_element(args.point, algebra)
     f = series.sampler()
-    h = args.step if args.step else 1e-5 * (1.0 + point.coord_norm())
+    h = default_step(point) if args.step is None else args.step
     res = gcru_residual(f, phi, point, h)
     res_half = gcru_residual(f, phi, point, h / 2)
     dres = dij_residual(f, phi, point, h)

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, Element, StructureTensor, rebase_matrix
+from .algebra import Algebra, Element, StructureTensor, _batch_norm, rebase_matrix
 from .errors import (
     HoloalgError,
     InvalidRecovered,
@@ -255,11 +255,8 @@ def gcru_residual(f: FunctionSampler, phi: Morphism, Z: Element,
     h = default_step(Z) if h is None else h
     D, mismatch = partial_derivatives(f, Z, h)
     B = D @ phi.source.unit_coords  # f'(Z) coordinates via the unit expansion
-    residual = 0.0
-    for j in range(phi.source.dim):
-        gap = np.abs(D[:, j] - phi.gamma[j] @ B).max()
-        residual = max(residual, float(gap))
-    return max(residual, mismatch)
+    residual = np.abs(D - np.einsum("jrs,s->rj", phi.gamma, B)).max()
+    return max(float(residual), mismatch)
 
 
 def numeric_derivative(f: FunctionSampler, phi: Morphism, Z: Element,
@@ -298,15 +295,9 @@ def dij_residual(f: FunctionSampler, phi: Morphism, Z: Element,
     """
     h = default_step(Z) if h is None else h
     D, mismatch = partial_derivatives(f, Z, h)
-    tgt = phi.target
-    images = [tgt.element(phi.matrix[:, j]) for j in range(phi.source.dim)]
-    cols = [tgt.element(D[:, j]) for j in range(phi.source.dim)]
-    worst = 0.0
-    for i in range(phi.source.dim):
-        for j in range(i + 1, phi.source.dim):
-            dij = images[i] * cols[j] - images[j] * cols[i]
-            worst = max(worst, dij.norm("frobenius"))
-    return max(worst, mismatch)
+    prods = np.einsum("irs,sj->rij", phi.gamma, D)   # [:, i, j] = phi(a_i) df/dz^j
+    dij = (prods - prods.transpose(0, 2, 1)).reshape(phi.target.dim, -1)
+    return max(float(_batch_norm(phi.target, dij).max()), mismatch)
 
 
 def holomorphy_verdict(residual: float, h: float) -> str:
@@ -353,11 +344,9 @@ def recover_structure(f: FunctionSampler, points: Sequence[Element],
             D, _ = partial_derivatives(f, Z, hz)
             jacobians.append(D)
 
-    alpha = np.empty((n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            rhs = np.array([jacobians[t][i, j] for t in range(n)])
-            alpha[j, :, i] = np.linalg.solve(G.T, rhs)
+    # row t of the right-hand sides: df^i/dz^j(Z_t) for every (i, j); solution [s, i, j]
+    sol = np.linalg.solve(G.T, np.reshape(jacobians, (n, n * n)))
+    alpha = sol.reshape(n, n, n).transpose(2, 0, 1)
 
     tensor = StructureTensor(n, alpha, tuple(basis_labels))
     try:

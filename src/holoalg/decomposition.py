@@ -10,6 +10,17 @@ The decomposition pipeline:
 4. derive component bases, maximal-ideal bases and the spectral functionals
    sigma_k from the lifted idempotents.
 
+The module also owns the local expansion.  Each element splits over the
+local factors as z = sum_l (s_l e_l + n_l) with s_l = sigma_l(z) and n_l
+nilpotent, so a holomorphic g acts as
+
+    g(z) = sum_l sum_{j < nu_l} g^(j)(s_l) / j! e_l n_l^j.
+
+``_local_parts`` builds the stack of factors e_l n_l^j once; its three users
+weight it with their Taylor data T_j(s) = g^(j)(s) / j!: the series sums of
+:mod:`holoalg.series`, :func:`invert_via_series` (g = 1/s) and the unit-group
+logarithm and exponential (:func:`unit_group_coords`, :func:`unit_group_exp`).
+
 All randomness is behind an explicit seed so results are reproducible.
 """
 
@@ -20,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Element
+from .algebra import Algebra, Element, _batch_mul, _batch_regular
 from .errors import ClusteringAmbiguous, NotAUnit, NotNilpotent
 
 NIL_RANK_TOL = 1e-10
@@ -60,18 +71,21 @@ def nilradical(algebra: Algebra) -> np.ndarray:
     Kernel of the trace Gram form of the regular representation; every
     returned vector is verified nilpotent (x^n ~ 0).
     """
-    n = algebra.dim
     lams = algebra.tensor.basis_matrices()
     gram = np.einsum("jab,kba->jk", lams, lams)
     basis = _null_space(gram)
-    for col in basis.T:
-        x = algebra.element(col)
-        power = x
-        for _ in range(n - 1):
-            power = power * x
-        if power.coord_norm() > 1e-10:
-            raise NotNilpotent("trace-form kernel vector failed the nilpotency check")
+    if not _nilpotent_columns(algebra, basis).all():
+        raise NotNilpotent("trace-form kernel vector failed the nilpotency check")
     return basis
+
+
+def _nilpotent_columns(algebra: Algebra, x: np.ndarray) -> np.ndarray:
+    """Which columns of an (n, T) stack are nilpotent, by the scale-invariant
+    rule ||(x / ||x||)^n|| <= 1e-10; zero columns pass."""
+    size = np.linalg.norm(x, axis=0)
+    y = x / np.where(size > 0, size, 1.0)
+    power = np.linalg.matrix_power(_batch_regular(algebra, y), algebra.dim - 1)
+    return np.linalg.norm(power @ y.T[:, :, None], axis=(1, 2)) <= 1e-10
 
 
 @dataclass(frozen=True)
@@ -186,38 +200,35 @@ def _decompose(algebra: Algebra, seed: int) -> Decomposition:
     for _ in range(MAX_RETRIES):
         g = algebra.random_element(rng)
         # Multiplication by g on the quotient.
-        action = np.column_stack(
-            [project(algebra.mul_coords(g.coords, complement[:, j])) for j in range(m)])
+        action = project(algebra.regular_matrix(g.coords) @ complement)
         evals, evecs = np.linalg.eig(action)
         gaps = np.abs(evals[:, None] - evals[None, :])
         gap = gaps[~np.eye(m, dtype=bool)].min() if m > 1 else math.inf
         last_gap = min(last_gap, gap)
         if gap <= CLUSTER_TOL:
             continue
-        idempotents = []
-        for k in range(m):
-            v = evecs[:, k]
-            # The eigenspace is a line through the quotient idempotent: v^2 = c v.
-            vv = project(algebra.mul_coords(complement @ v, complement @ v))
-            c = (v.conj() @ vv) / (v.conj() @ v)
-            e_bar = v / c
-            e = algebra.element(complement @ e_bar)
-            idempotents.append(_lift_idempotent(e))
-        return _finish(algebra, nil_basis, tuple(idempotents))
+        # Each eigenspace is a line through a quotient idempotent: v^2 = c v.
+        lifted = complement @ evecs
+        squares = project(_batch_mul(algebra, lifted, lifted))
+        c = (evecs.conj() * squares).sum(axis=0) / (evecs.conj() * evecs).sum(axis=0)
+        idempotents = _lift_idempotent(algebra, lifted / c)
+        return _finish(algebra, nil_basis, tuple(map(algebra.element, idempotents.T)))
     raise ClusteringAmbiguous(
         f"generic-element eigenvalues stayed within {last_gap:.3e} after {MAX_RETRIES} retries")
 
 
-def _lift_idempotent(e: Element, max_iters: int = 80) -> Element:
-    """Refine e <- 3e^2 - 2e^3 until ||e^2 - e|| < 1e-12.
+def _lift_idempotent(algebra: Algebra, e: np.ndarray, max_iters: int = 80) -> np.ndarray:
+    """Refine each column of an (n, M) stack by e <- 3e^2 - 2e^3 until
+    ||e^2 - e|| < 1e-12; a column that has converged is left as it is.
 
     Terminates because the defect e^2 - e lies in the nilpotent ideal.
     """
     for _ in range(max_iters):
-        e2 = e * e
-        if (e2 - e).coord_norm() < IDEMPOTENT_TOL:
+        e2 = _batch_mul(algebra, e, e)
+        live = np.linalg.norm(e2 - e, axis=0) >= IDEMPOTENT_TOL
+        if not live.any():
             return e
-        e = 3 * e2 - 2 * (e2 * e)
+        e = np.where(live, 3 * e2 - 2 * _batch_mul(algebra, e2, e), e)
     raise ClusteringAmbiguous("idempotent refinement failed to converge")
 
 
@@ -294,10 +305,8 @@ def profile(algebra: Algebra, dec: Decomposition) -> Profile:
                 raise NotNilpotent(f"maximal ideal {k} has no vanishing power "
                                    f"within {algebra.dim + 1} layers")
             prev = layers[-1]
-            products = np.column_stack(
-                [algebra.mul_coords(ideal[:, a], prev[:, b])
-                 for a in range(ideal.shape[1]) for b in range(prev.shape[1])])
-            layers.append(_column_space(products, scale=scale))
+            products = (_batch_regular(algebra, ideal) @ prev).transpose(1, 0, 2)   # [:, a, b]
+            layers.append(_column_space(products.reshape(algebra.dim, -1), scale=scale))
         height = len(layers)  # m^height = 0, m^(height-1) != 0
         dims = [layer.shape[1] for layer in layers]
         widths = tuple(dims[i] - dims[i + 1] for i in range(height - 1))
@@ -319,69 +328,71 @@ def profile(algebra: Algebra, dec: Decomposition) -> Profile:
     return Profile(tuple(comps))
 
 
+def _local_parts(dec: Decomposition, w: np.ndarray, orders, x: np.ndarray | None = None):
+    """Spectral parts s_l of w and the (m, L, max(orders)) stack of nilpotent
+    factors P[:, l, j] = e_l n_l^j, n_l = (w - s_l) e_l, zero for j >= orders[l];
+    given the multiplication x by an increment, the h_j with x h_j =
+    e_l ((n_l + x)^j - n_l^j)."""
+    s = dec.spectral_rows @ w
+    lam = dec.algebra.regular_matrix(w)
+    a = np.column_stack([e.coords for e in dec.idempotents])   # e_l (n_l + x)^j, per column
+    h = np.zeros_like(a)
+    P = np.empty((len(w), dec.count, max(orders)), dtype=complex)
+    for j in range(max(orders)):
+        P[:, :, j] = a if x is None else h
+        h, a = lam @ h - h * s + a, lam @ a - a * s + (0 if x is None else x @ a)
+    return s, P * (np.arange(max(orders)) < np.array(orders)[:, None])
+
+
+def _unit_parts(dec: Decomposition, z: Element):
+    """_local_parts of z to the component dimensions (which bound the heights);
+    NotAUnit when a spectral part vanishes."""
+    s, P = _local_parts(dec, z.coords, dec.component_dims)
+    zero = np.flatnonzero(np.abs(s) < 1e-14)
+    if zero.size:
+        raise NotAUnit(f"component {zero[0]} has zero spectral part")
+    return s, P
+
+
 def invert_via_series(z: Element, dec: Decomposition) -> Element:
     """Inverse through the terminating geometric series on each local factor.
 
     Per component, z = s (1 + X/s) with s = sigma_k(z) and nilpotent X, so
-    z^{-1} = s^{-1} sum_{j<nu} (-X/s)^j.  Must agree with the linear-solve
-    inverse to 1e-10 (tested invariant).
+    z^{-1} = s^{-1} sum_{j<nu} (-X/s)^j: the local expansion of 1/s, with
+    T_j(s) = (-1)^j s^(-j-1).  Must agree with the linear-solve inverse to
+    1e-10 (tested invariant).
     """
-    algebra = dec.algebra
-    out = algebra.zero()
-    for k in range(dec.count):
-        s = dec.sigma(z, k)
-        if abs(s) < 1e-14:
-            raise NotAUnit(f"component {k} has zero spectral part")
-        x = dec.nilpotent_part(z, k)
-        term = dec.idempotents[k]  # (-X/s)^0 restricted to the component
-        acc = algebra.zero()
-        for _ in range(algebra.dim):
-            acc = acc + term
-            term = term * x * (-1.0 / s)
-            if term.coord_norm() < 1e-16:
-                break
-        out = out + (1.0 / s) * acc
-    return out
+    s, P = _unit_parts(dec, z)
+    j = np.arange(P.shape[2])
+    return dec.algebra.element(np.einsum("nlj,lj->n", P, (-1.0) ** j / s[:, None] ** (j + 1)))
 
 
 def unit_group_coords(u: Element, dec: Decomposition) -> list[tuple[complex, Element]]:
     """Split a unit into (scalar, nilpotent-logarithm) pairs per local factor.
 
     Per component, u = s (1 + x/s) with s = sigma_k(u); the second entry is
-    log(1 + x/s) computed by the terminating alternating series.  The inverse
+    log(1 + x/s) computed by the terminating alternating series, the local
+    expansion with T_j(s) = (-1)^(j+1) / (j s^j) for j >= 1.  The inverse
     map is :func:`unit_group_exp`.
     """
-    algebra = dec.algebra
-    parts = []
-    for k in range(dec.count):
-        s = dec.sigma(u, k)
-        if abs(s) < 1e-14:
-            raise NotAUnit(f"component {k} has zero spectral part")
-        y = dec.nilpotent_part(u, k) * (1.0 / s)  # x/s, nilpotent
-        log_term = algebra.zero()
-        power = y
-        for j in range(1, algebra.dim + 1):
-            log_term = log_term + ((-1) ** (j + 1) / j) * power
-            power = power * y
-            if power.coord_norm() < 1e-16:
-                break
-        parts.append((s, log_term))
-    return parts
+    s, P = _unit_parts(dec, u)
+    j = np.arange(1, P.shape[2])
+    logs = np.einsum("nlj,lj->nl", P[:, :, 1:], (-1.0) ** (j + 1) / (j * s[:, None] ** j))
+    return [(complex(s_l), dec.algebra.element(log)) for s_l, log in zip(s, logs.T)]
 
 
 def unit_group_exp(parts: list[tuple[complex, Element]], dec: Decomposition) -> Element:
-    """Reconstruct the unit from its (scalar, logarithm) pairs."""
+    """Reconstruct the unit from its (scalar, logarithm) pairs.
+
+    The k-th logarithm acts through its projection e_k log_k = t_k e_k + n_k:
+    the local expansion of the stacked projections with T_j(t) = e^t / j!,
+    scaled per component by the k-th scalar.
+    """
     algebra = dec.algebra
-    out = algebra.zero()
-    for k, (s, log_term) in enumerate(parts):
-        exp_term = dec.idempotents[k]
-        power = dec.idempotents[k]
-        fact = 1.0
-        for j in range(1, algebra.dim + 1):
-            power = power * log_term
-            fact *= j
-            exp_term = exp_term + (1.0 / fact) * power
-            if power.coord_norm() / fact < 1e-16:
-                break
-        out = out + s * exp_term
-    return out
+    scalars = np.array([s for s, _ in parts], dtype=complex)
+    logs = np.column_stack([log.coords for _, log in parts])
+    idempotents = np.column_stack([e.coords for e in dec.idempotents])
+    t, P = _local_parts(dec, _batch_mul(algebra, idempotents, logs).sum(axis=1),
+                        dec.component_dims)
+    weights = (scalars * np.exp(t))[:, None] / np.cumprod(np.maximum(np.arange(P.shape[2]), 1))
+    return algebra.element(np.einsum("nlj,lj->n", P, weights))

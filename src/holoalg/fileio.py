@@ -25,6 +25,13 @@ def _pair(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
+def _count(data: Any, where: str, least: int) -> int:
+    """A JSON integer (not a bool, float or string) of at least ``least``."""
+    if isinstance(data, bool) or not isinstance(data, int) or data < least:
+        raise SchemaError(f"{where} must be >= {least} and a JSON integer, got {data!r}")
+    return data
+
+
 def _from_pair(data: Any, where: str) -> complex:
     if (not isinstance(data, (list, tuple)) or len(data) != 2
             or not all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
@@ -51,23 +58,21 @@ def algebra_from_json(data: Any) -> tuple[Algebra, str]:
     """{"name": str, "dim": n, "basis": [str], "alpha": alpha[j][k][i] pairs}."""
     if not isinstance(data, dict):
         raise SchemaError("algebra file must be a JSON object")
-    try:
-        dim = int(data["dim"])
-        raw = data["alpha"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"algebra file missing dim/alpha: {exc}") from exc
-    if dim < 1:
-        raise SchemaError(f"algebra dim must be >= 1, got {dim}")
+    if "dim" not in data or "alpha" not in data:
+        raise SchemaError("algebra file missing dim/alpha")
+    dim, raw = _count(data["dim"], "algebra dim", 1), data["alpha"]
+    # the nest's size is checked before the dim^3 array is allocated
+    if not (isinstance(raw, list) and len(raw) == dim and all(
+            isinstance(row, list) and len(row) == dim
+            and all(isinstance(col, list) and len(col) == dim for col in row) for row in raw)):
+        raise SchemaError(f"alpha must be a {dim} x {dim} x {dim} nest of pairs")
     name = str(data.get("name", "algebra"))
     basis = tuple(str(b) for b in data.get("basis", ()))
     alpha = np.empty((dim, dim, dim), dtype=complex)
-    try:
-        for j in range(dim):
-            for k in range(dim):
-                for i in range(dim):
-                    alpha[j, k, i] = _from_pair(raw[j][k][i], f"alpha[{j}][{k}][{i}]")
-    except (IndexError, TypeError) as exc:
-        raise SchemaError(f"alpha must be an n x n x n nest of pairs: {exc}") from exc
+    for j in range(dim):
+        for k in range(dim):
+            for i in range(dim):
+                alpha[j, k, i] = _from_pair(raw[j][k][i], f"alpha[{j}][{k}][{i}]")
     try:
         tensor = StructureTensor(dim, alpha, basis)
     except ValueError as exc:
@@ -146,7 +151,7 @@ def scalar_series_from_json(data: Any, target: Algebra) -> tuple[ScalarSeries, i
     if not isinstance(raw, list) or not raw:
         raise SchemaError("canonical-form file needs scalar_taylor coefficients")
     coeffs = [element_from_json(target, c, f"scalar_taylor[{k}]") for k, c in enumerate(raw)]
-    height = int(data.get("height", 0))
+    height = _count(data.get("height", 0), "height", 0)
     return ScalarSeries(target, center, coeffs=coeffs), height
 
 

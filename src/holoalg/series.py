@@ -17,8 +17,10 @@ component l (n_l nilpotent),
     sum_k B_k phi(Z - Z0)^k = sum_l sum_{j < nu_l} T_j(s_l) e_l n_l^j,
     T_j(s) = sum_k C(k, j) s^(k-j) B_k = g^(j)(s) / j!,
 
-one stack contraction per order j.  The same Taylor data serve canonical
-forms, the cylinder extension and the nilpotent derivative.  The term count
+one stack contraction per order j.  The stack of factors e_l n_l^j is the
+local expansion that :mod:`holoalg.decomposition` owns (``_local_parts``).
+The same Taylor data serve canonical forms, the cylinder extension and the
+nilpotent derivative.  The term count
 comes from the verdict's ratio |s_l| / r_l before summing; the last terms are
 checked against the tail bound, so a rule that breaks its radius estimate
 raises NoConvergence.
@@ -33,7 +35,8 @@ import numpy as np
 
 from .algebra import Algebra, Element, _batch_mul, _batch_norm, _batch_regular
 from .crsystem import FunctionSampler
-from .decomposition import Decomposition, artin_decompose, profile
+from .decomposition import (Decomposition, _local_parts, _nilpotent_columns, artin_decompose,
+                            profile)
 from .errors import EstimateViolated, NoConvergence, NotNilpotent, OutsideScalarDomain
 from .morphism import Morphism, factor
 
@@ -103,22 +106,6 @@ def _tail_count(q: np.ndarray, r: np.ndarray, pi: np.ndarray, thr: float, known:
             big = np.flatnonzero(bound >= thr)
             return known + int(big[-1]) + 5 if big.size else 0
         K *= 2
-
-
-def _local_parts(dec: Decomposition, w: np.ndarray, orders, x: np.ndarray | None = None):
-    """Spectral parts s_l of w and the (m, L, max(orders)) stack of nilpotent
-    factors P[:, l, j] = e_l n_l^j, n_l = (w - s_l) e_l, zero for j >= orders[l];
-    given the multiplication x by an increment, the h_j with x h_j =
-    e_l ((n_l + x)^j - n_l^j)."""
-    s = dec.spectral_rows @ w
-    lam = dec.algebra.regular_matrix(w)
-    a = np.column_stack([e.coords for e in dec.idempotents])   # e_l (n_l + x)^j, per column
-    h = np.zeros_like(a)
-    P = np.empty((len(w), dec.count, max(orders)), dtype=complex)
-    for j in range(max(orders)):
-        P[:, :, j] = a if x is None else h
-        h, a = lam @ h - h * s + a, lam @ a - a * s + (0 if x is None else x @ a)
-    return s, P * (np.arange(max(orders)) < np.array(orders)[:, None])
 
 
 class _Coefficients:
@@ -450,13 +437,8 @@ def nilpotent_derivative(s: PowerSeries, Z: Element, X: Element) -> Element:
     target component l, with phi(Z - Z0) e_l = s_l e_l + n_l and x = phi(X),
     it is sum_p T_p(s_l) h_p, where x h_p = e_l ((n_l + x)^p - n_l^p).
     """
-    size = X.coord_norm()
-    if size > 0:
-        y = X.coords / size
-        power = np.linalg.matrix_power(X.algebra.regular_matrix(y), X.algebra.dim - 1)
-        if np.linalg.norm(power @ y) > 1e-10:
-            raise NotNilpotent("increment is not in the nilradical")
-
+    if not _nilpotent_columns(X.algebra, X.coords[:, None])[0]:
+        raise NotNilpotent("increment is not in the nilradical")
     sv, P = s._local(Z, X)
     thr = s._threshold(sv)
     if isinstance(thr, _Verdict):

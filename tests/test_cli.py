@@ -101,6 +101,23 @@ def test_non_finite_alpha_is_a_one_line_error(tmp_path, capsys, dual, entry):
     assert "alpha[1][1][0]" in err
 
 
+@pytest.mark.parametrize("dim, alpha", [(100000, []), (2.0, []), ("2", []), (True, []),
+                                        (2, [[[[1, 0]] * 2] * 2])])
+def test_bad_dim_or_alpha_nest_is_a_one_line_error(tmp_path, capsys, dim, alpha):
+    # a huge dim is refused before its dim^3 array is allocated
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"name": "big", "dim": dim, "alpha": alpha}))
+    assert one_line_error(*run(capsys, "validate", str(path)))
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "0", "-1"])
+def test_bad_step_is_a_one_line_error(files, capsys, step):
+    code, out, err = run(capsys, "check", files["dual"], "--function", files["cubic"],
+                         "--point", files["one"], "--step", step)
+    assert one_line_error(code, out, err)
+    assert "--step" in err
+
+
 @pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1e-10"])
 def test_bad_tolerance_is_a_one_line_error(files, capsys, monkeypatch, value):
     monkeypatch.setenv("HOLOALG_TOL", value)

@@ -70,6 +70,23 @@ def test_scalar_series_file(dual):
     assert h2 == 2 and (again.derivative(0.5) - g.derivative(0.5)).coord_norm() == 0.0
 
 
+def test_algebra_dim_must_be_a_json_integer():
+    for dim in (2.0, "2", True, None, [2]):
+        with pytest.raises(SchemaError, match="JSON integer"):
+            fileio.algebra_from_json({"dim": dim, "alpha": []})
+    # checked before anything of size dim^3 is allocated
+    with pytest.raises(SchemaError, match="100000 x 100000 x 100000 nest"):
+        fileio.algebra_from_json({"dim": 100000, "alpha": []})
+
+
+@pytest.mark.parametrize("height", ["x", None, [1], 2.5, -1, True])
+def test_scalar_series_height_must_be_a_non_negative_integer(dual, height):
+    data = {"type": "canonical", "center": [0.0, 0.0], "height": height,
+            "scalar_taylor": [[[1.0, 0.0], [0.0, 0.0]]]}
+    with pytest.raises(SchemaError, match="height"):
+        fileio.scalar_series_from_json(data, dual)
+
+
 def test_path_round_trips(dual):
     circle = ha.Path.circle(dual.element([0.5, 0.5]), 2.0, turns=-3,
                             direction=dual.element([0, 1]))
