@@ -285,10 +285,6 @@ class Element:
         # only what __eq__ compares; adding 0.0 maps -0.0 to 0.0, which compare equal
         return hash((self.algebra.dim, (self.coords + 0.0).tobytes()))
 
-    def isclose(self, other: "Element", tol: float = 1e-10) -> bool:
-        self._check(other)
-        return bool(np.abs(self.coords - other.coords).max() <= tol)
-
     # -- linear-algebraic views ------------------------------------------------
 
     def regular_matrix(self) -> np.ndarray:

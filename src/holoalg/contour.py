@@ -5,18 +5,19 @@ exact derivatives); user-sampled paths are accepted as dense polylines when
 flagged smooth.  All contour integrals go through one integrator, refined
 breadth first over every segment of every path of a cycle, so that each
 level samples the integrand once at the new nodes of all unconverged
-segments.  The rule is chosen by segment kind.  A circle, on which the
-integrand is periodic in t, takes the periodic trapezoid rule over one turn
-with nested node doubling from 32 nodes; it passes when two successive
-estimates agree to the absolute per-coordinate tolerance (default 1e-10,
-overridable through HOLOALG_TOL), within 16 * QUAD_MAX_PANELS nodes.  A line
-segment takes composite Gauss-Legendre of order 16 with interval halving; a
-panel passes at the tolerance halved per level, within QUAD_MAX_PANELS
-panels.  QUAD_MAX_DEPTH levels bound both.  The generalized index is
-computed two independent ways: winding numbers of the spectral projections,
-exact because each path kind projects to a segment or a circle in C, and
-direct quadrature of the reproducing kernel; the two must agree to 1e-8 on
-admissible points.
+segments, with one geometry call per segment kind.  The rule is chosen by
+segment kind.  A circle, on which the integrand is periodic in t, takes the
+periodic trapezoid rule over one turn with nested node doubling from 32
+nodes; it passes when two successive estimates agree to the absolute
+per-coordinate tolerance (default 1e-10, overridable through HOLOALG_TOL),
+within 16 * QUAD_MAX_PANELS nodes.  A line segment takes composite
+Gauss-Legendre of order 16 with interval halving; a panel passes at the
+tolerance halved per level, within QUAD_MAX_PANELS panels.  QUAD_MAX_DEPTH
+levels bound both.  The generalized index is computed two independent ways:
+winding numbers of the spectral projections, exact because each path kind
+projects to a segment or a circle in C, and direct quadrature of the
+reproducing kernel, inverted at the nodes by the local expansion of 1/s;
+the two must agree to 1e-8 on admissible points.
 """
 
 from __future__ import annotations
@@ -26,14 +27,14 @@ import numbers
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, Element, _batch_mul, _batch_norm, _batch_regular, _unit_columns
+from .algebra import Algebra, Element, _batch_mul, _batch_norm, _unit_columns
 from .crsystem import FunctionSampler, gcru_residual
-from .decomposition import Decomposition, artin_decompose
+from .decomposition import Decomposition, _local_inverse, artin_decompose
 from .errors import (
     EstimateViolated,
     IndexNotInvertible,
@@ -55,7 +56,18 @@ QUAD_MAX_PANELS = 10_000   # panels an integral may take on a line; 16x as many 
 # levels are evaluated in blocks, so memory does not grow with the segments
 QUAD_BLOCK_ENTRIES = 1 << 14
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# Gauss-Legendre of order 16 on [-1, 1]: numpy.polynomial.legendre.leggauss(16),
+# written out so that importing the module does not import numpy.polynomial
+_GL_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499])
+_GL_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176])
 
 
 def quad_tolerance(tol: float | None = None) -> float:
@@ -75,7 +87,10 @@ def quad_tolerance(tol: float | None = None) -> float:
 # paths and cycles
 # ---------------------------------------------------------------------------
 
-# eq=False: segments and paths hold arrays, so they compare and hash by identity
+# eq=False: segments and paths hold arrays, so they compare and hash by identity.
+# points and velocities map (T,) parameters to (n, T) arrays.  A stacked
+# segment, which the quadrature builds, holds a row (or an entry) per
+# parameter in each field: ts[t] is then taken on the segment of row t.
 @dataclass(frozen=True, eq=False)
 class CircleSegment:
     """t |-> center + radius * exp(2 pi i turns t) * direction, t in [0, 1]."""
@@ -88,12 +103,12 @@ class CircleSegment:
 
     def points(self, ts: np.ndarray) -> np.ndarray:
         phase = np.exp(2j * np.pi * self.turns * ts)
-        return self.center[:, None] + self.radius * phase[None, :] * self.direction[:, None]
+        return (self.center + (self.radius * phase)[:, None] * self.direction).T
 
     def velocities(self, ts: np.ndarray) -> np.ndarray:
         phase = np.exp(2j * np.pi * self.turns * ts)
         coef = self.radius * 2j * np.pi * self.turns
-        return coef * phase[None, :] * self.direction[:, None]
+        return ((coef * phase)[:, None] * self.direction).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,10 +118,10 @@ class LineSegment:
     end: np.ndarray
 
     def points(self, ts: np.ndarray) -> np.ndarray:
-        return self.start[:, None] + ts[None, :] * (self.end - self.start)[:, None]
+        return (self.start + ts[:, None] * (self.end - self.start)).T
 
     def velocities(self, ts: np.ndarray) -> np.ndarray:
-        return np.repeat((self.end - self.start)[:, None], len(ts), axis=1)
+        return (np.ones((len(ts), 1)) * (self.end - self.start)).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,6 +285,10 @@ def _quadrature(terms, phi: Morphism, integrand, tol: float | None,
     # the integrand has period 1 / |turns| in t, so a circle samples one turn
     span = np.array([1 / max(abs(seg.turns), 1) if circle else 1.0
                      for seg, circle in zip(segs, is_circle)])
+    # each kind as one stacked segment with a row per segment, and each
+    # segment's row in it: a level makes one geometry call per kind
+    stacked = {kind: _stack(segs, kind) for kind in (LineSegment, CircleSegment)}
+    row = np.where(is_circle, np.cumsum(is_circle), np.cumsum(~is_circle)) - 1
     sizes_seen = []   # (path of each run, (B, runs) largest size) per integrand call
     run = len(_GL_NODES)   # nodes of a panel
     # a circle starts at 32 nodes, so its first comparison is T_64 against
@@ -280,16 +299,18 @@ def _quadrature(terms, phi: Morphism, integrand, tol: float | None,
 
     def runs(idx, ts, ws):
         """Weighted row sums, one per run of 16 nodes: segment idx[r] at ts[r]
-        with weights ws[r] (the runs of one segment are contiguous)."""
+        with weights ws[r] (line runs first, as ``level`` lays them out)."""
         if len(idx) > block:
             return np.concatenate([runs(idx[i:i + block], ts[i:i + block], ws[i:i + block])
                                    for i in range(0, len(idx), block)])
-        cuts = [0, *(np.flatnonzero(idx[1:] != idx[:-1]) + 1).tolist(), len(idx)]
+        nodes, ts = np.repeat(idx, run), ts.ravel()
+        cut = run * int(np.count_nonzero(~is_circle[idx]))
         pts, vel = [], []
-        for i, j in zip(cuts, cuts[1:]):
-            seg, t = segs[idx[i]], ts[i:j].ravel()
-            pts.append(seg.points(t))
-            vel.append(seg.velocities(t))
+        for kind, part in ((LineSegment, slice(None, cut)), (CircleSegment, slice(cut, None))):
+            if len(nodes[part]):
+                seg = _rows(stacked[kind], row[nodes[part]])
+                pts.append(seg.points(ts[part]))
+                vel.append(seg.velocities(ts[part]))
         vel = phi.matrix @ np.concatenate(vel, axis=1)
         rows = _batch_norm(tgt, vel, speed_kind)[None]
         if integrand is not None:
@@ -382,6 +403,20 @@ def _quadrature(terms, phi: Morphism, integrand, tol: float | None,
     return weighted, float(np.abs(mults) @ arcs)
 
 
+def _stack(segs, kind: type):
+    """The segments of one kind as one stacked segment, whose fields hold a
+    row (or an entry) per segment; None when there are none."""
+    segs = [seg for seg in segs if isinstance(seg, kind)]
+    return kind(segs[0].algebra, *(np.array([getattr(seg, f.name) for seg in segs])
+                                   for f in fields(kind)[1:])) if segs else None
+
+
+def _rows(seg, rows: np.ndarray):
+    """The stacked segment made of the given rows of a stacked segment."""
+    return type(seg)(seg.algebra, *(getattr(seg, f.name).take(rows, axis=0)
+                                    for f in fields(seg)[1:]))
+
+
 def _sampled(f, source: Algebra, target: Algebra) -> FunctionSampler:
     return f if isinstance(f, FunctionSampler) else FunctionSampler(f, source, target)
 
@@ -419,15 +454,14 @@ def _integrate_terms(f, terms, phi: Morphism, tol: float | None) -> Element:
 
 
 def _batch_inv(dec: Decomposition, w: np.ndarray) -> np.ndarray:
-    """Inverses of an (m, T) coordinate stack of ``dec.algebra``, one batched solve.
+    """Inverses of an (m, T) coordinate stack of ``dec.algebra`` by the local
+    expansion of 1/s (``decomposition._local_inverse``), with no linear solve.
 
     A column that fails the character rule of ``_unit_columns`` is NotAUnit.
     """
-    algebra = dec.algebra
     if not _unit_columns(dec, w).all():
         raise NotAUnit("kernel hit a non-invertible value on the path")
-    rhs = np.broadcast_to(algebra.unit_coords[:, None], (w.shape[1], algebra.dim, 1))
-    return np.linalg.solve(_batch_regular(algebra, w), rhs)[:, :, 0].T
+    return _local_inverse(dec, w)
 
 
 def _cauchy_kernel_integral(cycle: Cycle, Z0: Element, phi: Morphism, powers: Sequence[int],
@@ -492,16 +526,15 @@ def admissibility(cycle, Z0: Element, phi: Morphism, seed: int = 0) -> Admissibi
     dec_source = artin_decompose(phi.source, seed=seed)
     fact = factor(phi, dec_source, artin_decompose(phi.target, seed=seed))
     active = fact.active_source_components
-    clearances, thresholds, windings = [], [], []
-    for k in active:
-        row = dec_source.spectral_rows[k]
-        w0 = complex(row @ Z0.coords)
-        geometry = [_projection(path, row, w0) for _, path in cyc.terms]
-        clearances.append(min(dist for _, dist, _ in geometry))
-        thresholds.append(2.0 * ADMISSIBILITY_RESOLUTION * max(arc for _, _, arc in geometry))
-        windings.append(sum(mult * wind for (mult, _), (wind, _, _) in zip(cyc.terms, geometry)))
+    rows = dec_source.spectral_rows[list(active)]
+    w0 = rows @ Z0.coords
+    # (paths, K) windings, distances and lengths, one projection per path
+    wind, dist, arc = map(np.array, zip(*(_projection(path, rows, w0) for _, path in cyc.terms)))
+    clearances = tuple(map(float, dist.min(axis=0)))
+    thresholds = tuple(map(float, 2.0 * ADMISSIBILITY_RESOLUTION * arc.max(axis=0)))
+    windings = tuple(map(int, np.array([mult for mult, _ in cyc.terms]) @ wind))
     ok = all(c > t for c, t in zip(clearances, thresholds))
-    return AdmissibilityReport(ok, active, tuple(clearances), tuple(thresholds), tuple(windings))
+    return AdmissibilityReport(ok, active, clearances, thresholds, windings)
 
 
 @dataclass(frozen=True)
@@ -514,8 +547,9 @@ class SpectralIndex:
     admissibility: AdmissibilityReport
 
 
-def _projection(path: Path, row: np.ndarray, w0: complex) -> tuple[int, float, float]:
-    """Winding number about w0, distance to w0 and length of row(path).
+def _projection(path: Path, rows: np.ndarray, w0: np.ndarray):
+    """Winding numbers about w0, distances to w0 and lengths of row(path) for
+    each of the (K, n) rows and its point in the (K,) w0, as arrays of length K.
 
     A line segment projects to [a, b] (relative to w0), which subtends the
     principal angle arg(b / a) (Hormann & Agathos, Comput. Geom. 20, 2001); a
@@ -525,26 +559,27 @@ def _projection(path: Path, row: np.ndarray, w0: complex) -> tuple[int, float, f
     """
     lines = [seg for seg in path.segments if isinstance(seg, LineSegment)]
     circles = [seg for seg in path.segments if isinstance(seg, CircleSegment)]
-    angle, dist, arc = 0.0, math.inf, 0.0
-    if lines:
-        a = np.array([seg.start for seg in lines]) @ row - w0
-        b = np.array([seg.end for seg in lines]) @ row - w0
+    angle, arc = np.zeros((2, len(rows)))
+    dist = np.full(len(rows), math.inf)
+    if lines:   # (segments, K) below
+        a = np.array([seg.start for seg in lines]) @ rows.T - w0
+        b = np.array([seg.end for seg in lines]) @ rows.T - w0
         d = b - a
         sq = np.abs(d) ** 2
         t = np.clip(-(a * d.conj()).real / np.where(sq > 0, sq, 1.0), 0.0, 1.0)
-        angle += float(np.angle(b * a.conj()).sum())
-        dist = float(np.abs(a + t * d).min())
-        arc += float(np.sqrt(sq).sum())
+        angle += np.angle(b * a.conj()).sum(axis=0)
+        dist = np.abs(a + t * d).min(axis=0)
+        arc += np.sqrt(sq).sum(axis=0)
     if circles:
-        c = np.array([seg.center for seg in circles]) @ row - w0
-        r = np.array([seg.radius * seg.direction for seg in circles]) @ row
+        c = np.array([seg.center for seg in circles]) @ rows.T - w0
+        r = np.array([seg.radius * seg.direction for seg in circles]) @ rows.T
         rho, radii = np.abs(c), np.abs(r)
-        turns = np.array([seg.turns for seg in circles])
-        angle += 2 * math.pi * float(turns[rho < radii].sum())
+        turns = np.array([seg.turns for seg in circles])[:, None]
+        angle += 2 * math.pi * (turns * (rho < radii)).sum(axis=0)
         # a circle of zero turns stays at its start point c + r
-        dist = min(dist, float(np.where(turns != 0, np.abs(rho - radii), np.abs(c + r)).min()))
-        arc += 2 * math.pi * float(radii @ np.abs(turns))
-    return round(angle / (2 * math.pi)), dist, arc
+        dist = np.minimum(dist, np.where(turns != 0, np.abs(rho - radii), np.abs(c + r)).min(axis=0))
+        arc += 2 * math.pi * (np.abs(turns) * radii).sum(axis=0)
+    return np.rint(angle / (2 * math.pi)).astype(int), dist, arc
 
 
 def index_spectral(cycle, Z0: Element, phi: Morphism, seed: int = 0) -> SpectralIndex:

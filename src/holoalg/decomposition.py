@@ -16,10 +16,13 @@ nilpotent, so a holomorphic g acts as
 
     g(z) = sum_l sum_{j < nu_l} g^(j)(s_l) / j! e_l n_l^j.
 
-``_local_parts`` builds the stack of factors e_l n_l^j once; its three users
-weight it with their Taylor data T_j(s) = g^(j)(s) / j!: the series sums of
-:mod:`holoalg.series`, :func:`invert_via_series` (g = 1/s) and the unit-group
-logarithm and exponential (:func:`unit_group_coords`, :func:`unit_group_exp`).
+``_local_parts`` builds the stack of factors e_l n_l^j once; its users weight
+it with their Taylor data T_j(s) = g^(j)(s) / j!: the series sums of
+:mod:`holoalg.series` and the unit-group logarithm and exponential
+(:func:`unit_group_coords`, :func:`unit_group_exp`).  For g = 1/s,
+``_local_inverse`` sums the expansion in stacked form on a whole (n, T)
+stack of units, with no linear solve: it serves :func:`invert_via_series`
+and the Cauchy kernel of :mod:`holoalg.contour` at every quadrature node.
 
 All randomness is behind an explicit seed so results are reproducible.
 """
@@ -344,14 +347,29 @@ def _local_parts(dec: Decomposition, w: np.ndarray, orders, x: np.ndarray | None
     return s, P * (np.arange(max(orders)) < np.array(orders)[:, None])
 
 
-def _unit_parts(dec: Decomposition, z: Element):
-    """_local_parts of z to the component dimensions (which bound the heights);
-    NotAUnit when a spectral part vanishes."""
-    s, P = _local_parts(dec, z.coords, dec.component_dims)
+def _local_inverse(dec: Decomposition, w: np.ndarray) -> np.ndarray:
+    """Inverses of the units of an (n, T) coordinate stack, by the local
+    expansion of 1/s in stacked form: u = sum_l e_l / s_l inverts the
+    spectral parts, X = w u - 1 is nilpotent with X^nu = 0 for nu =
+    max(component_dims), and w^-1 = u sum_{j<nu} (-X)^j, summed by Horner.
+    The callers check that no s_l vanishes."""
+    algebra, nu = dec.algebra, max(dec.component_dims)
+    idempotents = np.column_stack([e.coords for e in dec.idempotents])
+    inv = u = idempotents @ (1 / (dec.spectral_rows @ w))
+    if nu > 1:   # else the algebra is reduced, X = 0 and u is the inverse
+        lam_x = _batch_regular(algebra, _batch_mul(algebra, w, u) - algebra.unit_coords[:, None])
+        for _ in range(nu - 1):
+            inv = u - (lam_x @ inv.T[:, :, None])[:, :, 0].T
+    return inv
+
+
+def _unit_spectrum(dec: Decomposition, z: Element) -> np.ndarray:
+    """The spectral parts of z; NotAUnit when one vanishes."""
+    s = dec.spectrum(z)
     zero = np.flatnonzero(np.abs(s) < 1e-14)
     if zero.size:
         raise NotAUnit(f"component {zero[0]} has zero spectral part")
-    return s, P
+    return s
 
 
 def invert_via_series(z: Element, dec: Decomposition) -> Element:
@@ -359,12 +377,11 @@ def invert_via_series(z: Element, dec: Decomposition) -> Element:
 
     Per component, z = s (1 + X/s) with s = sigma_k(z) and nilpotent X, so
     z^{-1} = s^{-1} sum_{j<nu} (-X/s)^j: the local expansion of 1/s, with
-    T_j(s) = (-1)^j s^(-j-1).  Must agree with the linear-solve inverse to
-    1e-10 (tested invariant).
+    T_j(s) = (-1)^j s^(-j-1), summed by :func:`_local_inverse`.  Must agree
+    with the linear-solve inverse to 1e-10 (tested invariant).
     """
-    s, P = _unit_parts(dec, z)
-    j = np.arange(P.shape[2])
-    return dec.algebra.element(np.einsum("nlj,lj->n", P, (-1.0) ** j / s[:, None] ** (j + 1)))
+    _unit_spectrum(dec, z)
+    return dec.algebra.element(_local_inverse(dec, z.coords[:, None])[:, 0])
 
 
 def unit_group_coords(u: Element, dec: Decomposition) -> list[tuple[complex, Element]]:
@@ -375,7 +392,8 @@ def unit_group_coords(u: Element, dec: Decomposition) -> list[tuple[complex, Ele
     expansion with T_j(s) = (-1)^(j+1) / (j s^j) for j >= 1.  The inverse
     map is :func:`unit_group_exp`.
     """
-    s, P = _unit_parts(dec, u)
+    s = _unit_spectrum(dec, u)
+    P = _local_parts(dec, u.coords, dec.component_dims)[1]
     j = np.arange(1, P.shape[2])
     logs = np.einsum("nlj,lj->nl", P[:, :, 1:], (-1.0) ** (j + 1) / (j * s[:, None] ** j))
     return [(complex(s_l), dec.algebra.element(log)) for s_l, log in zip(s, logs.T)]

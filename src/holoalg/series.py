@@ -338,12 +338,6 @@ class PowerSeries(_Coefficients):
         d._read = lambda lo, hi: np.arange(lo + 1, hi + 1) * self._window(hi + 1)[:, lo + 1:]
         return d
 
-    def derivative_at(self, Z: Element, order: int) -> Element:
-        s = self
-        for _ in range(order):
-            s = s.derive()
-        return s.evaluate_strict(Z)
-
 
 # ---------------------------------------------------------------------------
 # scalar series and canonical forms

@@ -147,6 +147,14 @@ EXPECTED_NODES = {
 }
 
 
+def test_gauss_legendre_constants_are_leggauss_16():
+    # written out to keep numpy.polynomial out of the import; any change of a
+    # bit would move the node counts below
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(contour._GL_NODES, nodes)
+    assert np.array_equal(contour._GL_WEIGHTS, weights)
+
+
 def test_node_counts_unchanged(dual, id_dual, cubic, monkeypatch):
     Z0 = dual.element([0.3, 0.2])
     kernel_nodes = []

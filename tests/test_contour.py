@@ -326,15 +326,16 @@ def test_winding_unresolved_on_curve_point(dual, id_dual):
         ha.index_spectral(loop, dual.scalar(1e-13), id_dual)
 
 
-def test_index_spectral_projects_each_path_once_per_component(split, id_split, monkeypatch):
+def test_index_spectral_projects_each_path_once(split, id_split, monkeypatch):
     calls = []
     projection = contour._projection
     monkeypatch.setattr(contour, "_projection",
-                        lambda *a: calls.append(1) or projection(*a))
+                        lambda path, rows, w0: calls.append(len(rows)) or projection(path, rows, w0))
     cycle = ha.Cycle(((1, ha.Path.circle(split.scalar(-0.7), 0.5)),
                       (-1, ha.Path.circle(split.scalar(0.7), 0.5))))
     assert ha.index_spectral(cycle, split.scalar(-0.7), id_split).values == (1, 1)
-    assert len(calls) == 2 * 2   # active components x paths, in one admissibility pass
+    # one call per path in one admissibility pass, each over both active components
+    assert calls == [2, 2]
 
 
 # -- Cauchy integral formulas --------------------------------------------------------------

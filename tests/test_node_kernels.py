@@ -11,7 +11,7 @@ from holoalg import contour
 from holoalg.algebra import _batch_mul, _batch_norm, _batch_regular
 from holoalg.errors import NotAUnit
 
-from test_batched import random_basis_sum
+from test_batched import EXPECTED_NODES, random_basis_sum, random_polynomial
 from test_contour import sampled_ellipse, square_loop, unit_circle
 from test_decomposition import counting_worker
 
@@ -108,6 +108,42 @@ def test_batch_inv_matches_element_invert():
                         1e30 * np.linalg.norm(inv)) < 1e-10
 
 
+@st.composite
+def node_stacks(draw):
+    """A direct sum of catalog factors (dim 2-10) in a random unitary basis, its
+    decomposition, and an (n, T) stack of units sum_l s_l e_l + x: x a random
+    point of the nilradical and |s_l| between 0.03 ||x|| and ||x|| (1 when x
+    is 0), each column scaled by 10^[-6, 6]."""
+    names = draw(st.lists(st.sampled_from(sorted(FACTORS)), min_size=1, max_size=4)
+                 .filter(lambda ns: 2 <= sum(FACTORS[n].dim for n in ns) <= 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    algebra = random_basis_sum(rng, *(FACTORS[n] for n in names))
+    dec = ha.artin_decompose(algebra)
+    T = draw(st.integers(1, 8))
+    nil = dec.nilradical_basis
+    x = nil @ (rng.standard_normal((nil.shape[1], T)) + 1j * rng.standard_normal((nil.shape[1], T)))
+    size = np.linalg.norm(x, axis=0)
+    moduli = np.where(size > 0, size, 1.0) * 10.0 ** rng.uniform(-1.5, 0, (dec.count, T))
+    chars = moduli * np.exp(2j * np.pi * rng.uniform(size=(dec.count, T)))
+    idempotents = np.column_stack([e.coords for e in dec.idempotents])
+    return algebra, dec, 10.0 ** rng.uniform(-6, 6, T) * (idempotents @ chars + x)
+
+
+# The inverse of sum_l s_l e_l + x is conditioned like (||x|| / |s_l|)^nu, and
+# any double-precision method loses that much: at |s_l| = 1e-6 ||x|| on a
+# height-3 factor the solve itself raises LinAlgError.  The stack stops at 0.03.
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(node_stacks())
+def test_batch_inv_matches_the_linear_solve(case):
+    algebra, dec, w = case
+    expected = np.linalg.solve(_batch_regular(algebra, w),
+                               np.broadcast_to(algebra.unit_coords[:, None],
+                                               (w.shape[1], algebra.dim, 1)))[:, :, 0].T
+    got = contour._batch_inv(dec, w)
+    for t in range(w.shape[1]):
+        assert relative(got[:, t], expected[:, t], np.linalg.norm(expected[:, t])) < 1e-10
+
+
 @pytest.mark.parametrize("factors", [("dual",), ("split", "t3"), ("bidual", "C")])
 def test_batch_inv_rejects_zero_and_nilpotent_columns(factors):
     algebra = random_basis_sum(np.random.default_rng(8), *(FACTORS[f] for f in factors))
@@ -150,6 +186,72 @@ def test_index_quadrature_runs_no_svd(monkeypatch):
     monkeypatch.undo()
     spectral = ha.index_spectral(sampled_ellipse(algebra), Z0, phi)
     assert (value - spectral.element).coord_norm() < 1e-8
+
+
+def test_index_quadrature_converges_near_the_circle_in_a_generic_basis():
+    # at 1% of the radius from the circle, the kernel's rounding noise must
+    # stay below the 1e-10 stopping test: the batched solve it replaced kept
+    # the estimates apart until the node budget ran out in most of these cases
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        algebra = random_basis_sum(rng, FACTORS["t3"], FACTORS["dual"])
+        phi, dec = ha.identity_morphism(algebra), ha.artin_decompose(algebra)
+        idempotents = np.column_stack([e.coords for e in dec.idempotents])
+        nil = dec.nilradical_basis
+        chars = 0.99 * np.exp(2j * np.pi * rng.random(dec.count))
+        shift = 0.5 * (rng.standard_normal(nil.shape[1]) + 1j * rng.standard_normal(nil.shape[1]))
+        Z0 = algebra.element(idempotents @ chars + nil @ shift)
+        circle = unit_circle(algebra)
+        value = ha.index_quadrature(circle, Z0, phi)
+        assert (value - ha.index_spectral(circle, Z0, phi).element).coord_norm() < 1e-8
+
+
+def test_the_cauchy_layer_runs_no_linear_solve(monkeypatch):
+    rng = np.random.default_rng(12)
+    algebra = random_basis_sum(rng, FACTORS["t3"], FACTORS["split"], FACTORS["dual"])
+    phi = ha.identity_morphism(algebra)
+    f = random_polynomial(rng, phi, 3).sampler()
+    Z0 = algebra.scalar(0.2) + algebra.random_element(rng, 0.1)
+    circle = unit_circle(algebra)
+    ha.artin_decompose(algebra)   # the one decomposition, computed before the solve is refused
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    index = ha.index_quadrature(circle, Z0, phi)
+    second = ha.cif_derivative(f, circle, Z0, 2, phi)
+    taylor = ha.taylor_from_contour(f, circle, Z0, 3, phi)
+    monkeypatch.undo()
+    assert (index - algebra.unit()).coord_norm() < 1e-8
+    assert (taylor.coefficient(2) * 2.0 - second).coord_norm() < 1e-8
+
+
+def test_one_geometry_call_per_segment_kind_per_level(dual, id_dual, monkeypatch):
+    # the segments' geometry is evaluated once per kind for all the nodes that
+    # one integrand call takes; these levels fit in one integrand call each
+    Z0 = dual.element([0.3, 0.2])
+    ellipse = sampled_ellipse(dual)
+    cycle = ha.Cycle(((1, unit_circle(dual)), (1, square_loop(dual))))
+    events = []
+    for cls in (contour.LineSegment, contour.CircleSegment):
+        monkeypatch.setattr(cls, "points", lambda seg, ts, cls=cls, points=cls.points:
+                            events.append((cls, len(ts))) or points(seg, ts))
+    batch_inv = contour._batch_inv
+    monkeypatch.setattr(contour, "_batch_inv",
+                        lambda A, w: events.append(("kernel", w.shape[1])) or batch_inv(A, w))
+    nodes = EXPECTED_NODES
+    for path, total in ((ellipse, nodes["ellipse"]["index"]),
+                        (cycle, nodes["circle"]["index"] + nodes["square"]["index"])):
+        events.clear()
+        ha.index_quadrature(path, Z0, id_dual)
+        kernels = [i for i, (kind, _) in enumerate(events) if kind == "kernel"]
+        assert kernels[-1] == len(events) - 1
+        for lo, hi in zip([-1, *kernels], kernels):
+            calls = events[lo + 1:hi]
+            assert len({kind for kind, _ in calls}) == len(calls) <= 2
+            assert sum(n for _, n in calls) == events[hi][1]
+        assert sum(events[i][1] for i in kernels) == total
 
 
 def test_one_decomposition_per_algebra_and_seed(monkeypatch):
