@@ -7,8 +7,11 @@ The decomposition pipeline:
    complete system of orthogonal idempotents;
 3. lift each idempotent along the nilradical with the refinement
    e <- 3e^2 - 2e^3 (quadratic convergence, pure algebra operations);
-4. derive component bases, maximal-ideal bases and the spectral functionals
-   sigma_k from the lifted idempotents.
+4. read the local structure off the regular trace tau_k = tr lambda(b_k): a
+   nilpotent element has trace 0, so tr lambda(e_l x) = d_l sigma_l(x).  This
+   gives each component's dimension d_l = tr lambda(e_l) as an integer, its
+   spectral functional sigma_l = tau lambda(e_l) / d_l, and the ranks d_l and
+   d_l - 1 of the component A_l and of its maximal ideal m_l.
 
 The module also owns the local expansion.  Each element splits over the
 local factors as z = sum_l (s_l e_l + n_l) with s_l = sigma_l(z) and n_l
@@ -43,29 +46,22 @@ IDEMPOTENT_TOL = 1e-12
 MAX_RETRIES = 3
 
 
-def _null_space(mat: np.ndarray, tol: float = NIL_RANK_TOL) -> np.ndarray:
+def _null_space(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical kernel of ``mat``."""
     if mat.size == 0:
-        return np.zeros((mat.shape[1], 0), dtype=complex)
+        return np.eye(mat.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(mat)
-    cutoff = tol * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
+    rank = int(np.sum(s > NIL_RANK_TOL * s[0]))
     return vh[rank:].conj().T
 
 
-def _column_space(mat: np.ndarray, tol: float = NIL_RANK_TOL,
-                  scale: float | None = None) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical column space of ``mat``.
-
-    Singular values up to ``tol`` times ``scale`` (default: the largest
-    singular value) count as zero.
-    """
-    if mat.size == 0 or mat.shape[1] == 0:
+def _column_space(mat: np.ndarray, scale: float) -> np.ndarray:
+    """Orthonormal basis (columns) of the numerical column space of ``mat``;
+    singular values up to NIL_RANK_TOL times ``scale`` count as zero."""
+    if mat.size == 0:
         return np.zeros((mat.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    cutoff = tol * (s[0] if scale is None else scale)
-    rank = int(np.sum(s > cutoff))
-    return u[:, :rank]
+    return u[:, :int(np.sum(s > NIL_RANK_TOL * scale))]
 
 
 def nilradical(algebra: Algebra) -> np.ndarray:
@@ -158,29 +154,17 @@ def _frozen(arr) -> np.ndarray:
     return arr
 
 
-def _quotient_setup(algebra: Algebra, nil_basis: np.ndarray):
-    """Complement basis of the nilradical and the projection solving along it."""
-    n = algebra.dim
-    complement = _null_space(nil_basis.conj().T) if nil_basis.shape[1] else np.eye(n, dtype=complex)
-    mixed = np.column_stack([complement, nil_basis])
-    mixed_inv = np.linalg.inv(mixed)
-    m = complement.shape[1]
-
-    def project(coords: np.ndarray) -> np.ndarray:
-        return (mixed_inv @ coords)[:m]
-
-    return complement, project
-
-
 def artin_decompose(algebra: Algebra, seed: int = 0) -> Decomposition:
     """Split the algebra into its local factors.
 
     The component count M is the number of distinct eigenvalues of the
     generic element's multiplication matrix on the semisimple quotient;
     a clustering closer than 1e-8 triggers up to three seeded retries
-    before :class:`ClusteringAmbiguous` is raised.  Results are cached on
-    the algebra per (algebra, seed), so repeated calls return the same
-    read-only object; a call that raises caches nothing.
+    before :class:`ClusteringAmbiguous` is raised.  It is raised too when
+    the idempotents' traces tr lambda(e_l), the component dimensions, are
+    not within 1e-8 of positive integers summing to the algebra's dimension.
+    Results are cached on the algebra per (algebra, seed), so repeated calls
+    return the same read-only object; a call that raises caches nothing.
     """
     cache = algebra._decompositions
     if seed not in cache:
@@ -190,20 +174,20 @@ def artin_decompose(algebra: Algebra, seed: int = 0) -> Decomposition:
 
 def _decompose(algebra: Algebra, seed: int) -> Decomposition:
     nil_basis = nilradical(algebra)
-    complement, project = _quotient_setup(algebra, nil_basis)
+    # orthonormal to the nilradical, so its adjoint projects along it onto the quotient
+    complement = _null_space(nil_basis.conj().T)
     m = complement.shape[1]
 
     if m == 1:
         # Local algebra: the only idempotent is 1.
-        idempotents = (algebra.unit(),)
-        return _finish(algebra, nil_basis, idempotents)
+        return _finish(algebra, nil_basis, (algebra.unit(),))
 
     rng = np.random.default_rng(seed)
     last_gap = math.inf
     for _ in range(MAX_RETRIES):
         g = algebra.random_element(rng)
         # Multiplication by g on the quotient.
-        action = project(algebra.regular_matrix(g.coords) @ complement)
+        action = complement.conj().T @ algebra.regular_matrix(g.coords) @ complement
         evals, evecs = np.linalg.eig(action)
         gaps = np.abs(evals[:, None] - evals[None, :])
         gap = gaps[~np.eye(m, dtype=bool)].min() if m > 1 else math.inf
@@ -212,7 +196,7 @@ def _decompose(algebra: Algebra, seed: int) -> Decomposition:
             continue
         # Each eigenspace is a line through a quotient idempotent: v^2 = c v.
         lifted = complement @ evecs
-        squares = project(_batch_mul(algebra, lifted, lifted))
+        squares = complement.conj().T @ _batch_mul(algebra, lifted, lifted)
         c = (evecs.conj() * squares).sum(axis=0) / (evecs.conj() * evecs).sum(axis=0)
         idempotents = _lift_idempotent(algebra, lifted / c)
         return _finish(algebra, nil_basis, tuple(map(algebra.element, idempotents.T)))
@@ -237,38 +221,38 @@ def _lift_idempotent(algebra: Algebra, e: np.ndarray, max_iters: int = 80) -> np
 
 def _finish(algebra: Algebra, nil_basis: np.ndarray,
             idempotents: tuple[Element, ...]) -> Decomposition:
-    component_bases = []
-    ideal_bases = []
-    rows = []
-    for e in idempotents:
-        lam_e = e.regular_matrix()
-        comp = _column_space(lam_e)
-        if nil_basis.shape[1]:
-            # cut off against |e|, not the product: e * nil is 0 on a reduced factor
-            ideal = _column_space(lam_e @ nil_basis, scale=np.linalg.norm(lam_e))
-        else:
-            ideal = np.zeros((algebra.dim, 0), dtype=complex)
-        # sigma(a_j): decompose a_j * e = sigma(a_j) e + (ideal part).
-        frame = np.column_stack([e.coords.reshape(-1, 1), ideal])
-        sol, *_ = np.linalg.lstsq(frame, lam_e, rcond=None)
-        rows.append(sol[0])
-        component_bases.append(comp)
-        ideal_bases.append(ideal)
+    """The components of a complete system of orthogonal idempotents.
 
-    order = _component_order(rows, component_bases)
-    idempotents = tuple(idempotents[k] for k in order)
-    component_bases = tuple(component_bases[k] for k in order)
-    ideal_bases = tuple(ideal_bases[k] for k in order)
-    spectral_rows = np.array([rows[k] for k in order])
-    return Decomposition(algebra, idempotents, component_bases, ideal_bases,
-                         spectral_rows, nil_basis)
+    With E the (n, M) stack of the e_l: d_l = tr lambda(e_l), rounded, and
+    sigma_l = tau lambda(e_l) / d_l.  A_l and m_l are spanned by the leading
+    d_l and d_l - 1 left singular vectors of lambda(e_l) and of the map
+    x -> e_l x - sigma_l(x) e_l, whose range is m_l: one batched SVD, with
+    the ranks from the trace, not from a cutoff.
+    """
+    E = np.column_stack([e.coords for e in idempotents])
+    lam_e = _batch_regular(algebra, E)
+    traces = np.trace(lam_e, axis1=1, axis2=2)
+    dims = np.rint(traces.real).astype(int)
+    if np.abs(traces - dims).max() > CLUSTER_TOL or dims.min() < 1 or dims.sum() != algebra.dim:
+        raise ClusteringAmbiguous(
+            f"idempotent traces {', '.join(f'{t:.6g}' for t in traces.real)} are not positive "
+            f"integers summing to the dimension {algebra.dim}")
+    tau = np.einsum("kii->k", algebra.alpha)   # tau_k = tr lambda(b_k)
+    rows = tau @ lam_e / dims[:, None]
+    ideal_maps = lam_e - E.T[:, :, None] * rows[:, None, :]
+    u = np.linalg.svd(np.concatenate([lam_e, ideal_maps]))[0]
+    order, count = _component_order(rows, dims), len(idempotents)
+    return Decomposition(algebra, tuple(idempotents[k] for k in order),
+                         tuple(u[k, :, :dims[k]] for k in order),
+                         tuple(u[count + k, :, :dims[k] - 1] for k in order),
+                         rows[order], nil_basis)
 
 
-def _component_order(rows, bases) -> list[int]:
+def _component_order(rows, dims) -> list[int]:
     """Deterministic, seed-independent component ordering."""
     def key(k):
         row = np.round(rows[k], 8)
-        return (-bases[k].shape[1], tuple(zip(row.real.tolist(), row.imag.tolist())))
+        return (-dims[k], tuple(zip(row.real.tolist(), row.imag.tolist())))
     return sorted(range(len(rows)), key=key)
 
 
@@ -309,7 +293,7 @@ def profile(algebra: Algebra, dec: Decomposition) -> Profile:
                                    f"within {algebra.dim + 1} layers")
             prev = layers[-1]
             products = (_batch_regular(algebra, ideal) @ prev).transpose(1, 0, 2)   # [:, a, b]
-            layers.append(_column_space(products.reshape(algebra.dim, -1), scale=scale))
+            layers.append(_column_space(products.reshape(algebra.dim, -1), scale))
         height = len(layers)  # m^height = 0, m^(height-1) != 0
         dims = [layer.shape[1] for layer in layers]
         widths = tuple(dims[i] - dims[i + 1] for i in range(height - 1))

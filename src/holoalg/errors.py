@@ -48,7 +48,8 @@ class NotNilpotent(HoloalgError):
 # --- decomposition ----------------------------------------------------------
 
 class ClusteringAmbiguous(HoloalgError):
-    """Eigenvalue clusters of the generic element stayed too close after retries."""
+    """Eigenvalue clusters of the generic element stayed too close after retries,
+    or the idempotents found do not split the dimension into integer traces."""
 
 
 # --- morphisms --------------------------------------------------------------
