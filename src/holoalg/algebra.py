@@ -8,7 +8,10 @@ stored as ``alpha[j, k, i]`` so that the product of basis vectors is
 :func:`build_algebra` validates commutativity and associativity of the
 tensor and solves the unit-law linear system for the coordinates of 1.
 Elements are immutable coordinate vectors supporting ring arithmetic, the
-regular representation, inversion, norms and the spectral radius.
+regular representation, inversion, norms and the spectral radius.  An element
+may also hold a stack of points, an (n, T) coordinate array with one point per
+column: ring arithmetic acts columnwise on it, a single element meeting a
+stack as its (n, 1) column, and the methods that need one point refuse it.
 """
 
 from __future__ import annotations
@@ -158,7 +161,15 @@ class Algebra:
     # -- raw coordinate operations (used by Element and the other modules) ----
 
     def mul_coords(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.einsum("jki,j,k->i", self.alpha, a, b)
+        """The product of two coordinate vectors, or columnwise of (n, T) stacks;
+        a vector meets a stack through its regular matrix."""
+        if a.ndim == b.ndim == 1:
+            return np.einsum("jki,j,k->i", self.alpha, a, b)
+        if a.ndim == 2:
+            a, b = b, a   # the algebra is commutative
+        if a.ndim == 1:
+            return self.regular_matrix(a) @ b
+        return _batch_mul(self, *np.broadcast_arrays(a, b))
 
     def regular_matrix(self, coords: np.ndarray) -> np.ndarray:
         """Matrix of multiplication by the element: lambda(a)[i,k] = sum_j a^j alpha^i_{jk}."""
@@ -191,17 +202,25 @@ def build_algebra(tensor: StructureTensor) -> Algebra:
 
 @dataclass(frozen=True)
 class Element:
-    """A coordinate vector relative to an algebra's basis."""
+    """A coordinate vector relative to an algebra's basis, or an (n, T) stack of
+    them, one point per column (see the module docstring)."""
 
     algebra: Algebra
     coords: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        coords = _as_complex_vector(self.coords, self.algebra.dim)
+        coords = np.asarray(self.coords, dtype=complex)
+        # a 2-D array is a stack of points, one per column
+        coords = coords.view() if coords.ndim == 2 else coords.reshape(-1)
+        if len(coords) != self.algebra.dim:
+            raise ValueError(f"expected {self.algebra.dim} coordinates per point, "
+                             f"got shape {coords.shape}")
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
 
     def __repr__(self):
+        if self.coords.ndim == 2:
+            return f"<stack of {self.coords.shape[1]} elements of {self.algebra!r}>"
         terms = []
         for c, lab in zip(self.coords, self.algebra.basis_labels):
             if c != 0:
@@ -214,12 +233,31 @@ class Element:
         if not self.algebra.compatible(other.algebra):
             raise AlgebraMismatch("elements live in different algebras")
 
+    def _pair(self, other: "Element"):
+        """Both coordinate arrays, a single element lifted to (n, 1) against a stack."""
+        self._check(other)
+        a, b = self.coords, other.coords
+        if a.ndim != b.ndim:
+            a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
+        return a, b
+
+    def _unit(self) -> np.ndarray:
+        """The unit's coordinates, shaped to meet this element's."""
+        return self.algebra.unit_coords.reshape((-1,) + (1,) * (self.coords.ndim - 1))
+
+    def _point(self, method: str) -> np.ndarray:
+        """The coordinates of a single element; ValueError naming ``method`` on a stack."""
+        if self.coords.ndim == 2:
+            raise ValueError(f"{method} acts on one element, not on a stack of "
+                             f"{self.coords.shape[1]}")
+        return self.coords
+
     def __add__(self, other):
         if isinstance(other, Element):
-            self._check(other)
-            return Element(self.algebra, self.coords + other.coords)
+            a, b = self._pair(other)
+            return Element(self.algebra, a + b)
         if isinstance(other, (int, float, complex)):
-            return Element(self.algebra, self.coords + other * self.algebra.unit_coords)
+            return Element(self.algebra, self.coords + other * self._unit())
         return NotImplemented
 
     __radd__ = __add__
@@ -229,10 +267,10 @@ class Element:
 
     def __sub__(self, other):
         if isinstance(other, Element):
-            self._check(other)
-            return Element(self.algebra, self.coords - other.coords)
+            a, b = self._pair(other)
+            return Element(self.algebra, a - b)
         if isinstance(other, (int, float, complex)):
-            return Element(self.algebra, self.coords - other * self.algebra.unit_coords)
+            return Element(self.algebra, self.coords - other * self._unit())
         return NotImplemented
 
     def __rsub__(self, other):
@@ -253,6 +291,7 @@ class Element:
 
     def __truediv__(self, other):
         if isinstance(other, Element):
+            other._point("Element.__truediv__")
             return self * other.invert()
         if isinstance(other, (int, float, complex)):
             return Element(self.algebra, self.coords / complex(other))
@@ -260,6 +299,7 @@ class Element:
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, float, complex)):
+            self._point("Element.__rtruediv__")
             return self.invert() * complex(other)
         return NotImplemented
 
@@ -267,8 +307,9 @@ class Element:
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
+            self._point("Element.__pow__ with a negative exponent")
             return self.invert() ** (-k)
-        out = self.algebra.unit()
+        out = Element(self.algebra, np.broadcast_to(self._unit(), self.coords.shape))
         base = self
         while k:
             if k & 1:
@@ -283,13 +324,13 @@ class Element:
 
     def __hash__(self):
         # only what __eq__ compares; adding 0.0 maps -0.0 to 0.0, which compare equal
-        return hash((self.algebra.dim, (self.coords + 0.0).tobytes()))
+        return hash((self.algebra.dim, (self._point("Element.__hash__") + 0.0).tobytes()))
 
     # -- linear-algebraic views ------------------------------------------------
 
     def regular_matrix(self) -> np.ndarray:
         """The regular representation lambda(a); multiplicative and unital."""
-        return self.algebra.regular_matrix(self.coords)
+        return self.algebra.regular_matrix(self._point("Element.regular_matrix"))
 
     def invert(self) -> "Element":
         """Solve lambda(z) w = 1 for the multiplicative inverse.
@@ -299,6 +340,7 @@ class Element:
         with seed 0, which may raise :class:`ClusteringAmbiguous`; the value
         comes from the linear solve alone.
         """
+        self._point("Element.invert")
         if not self.is_unit():
             raise NotAUnit("an element with a vanishing character is not a unit")
         w = np.linalg.solve(self.regular_matrix(), self.algebra.unit_coords)
@@ -307,10 +349,12 @@ class Element:
     def is_unit(self) -> bool:
         """Whether no character of z vanishes (the rule of :func:`_unit_columns`)."""
         from .decomposition import artin_decompose   # decomposition imports this module
-        return bool(_unit_columns(artin_decompose(self.algebra), self.coords[:, None])[0])
+        x = self._point("Element.is_unit")[:, None]
+        return bool(_unit_columns(artin_decompose(self.algebra), x)[0])
 
     def spectral_radius(self) -> float:
         """Largest eigenvalue modulus of the regular representation."""
+        self._point("Element.spectral_radius")
         return float(np.abs(np.linalg.eigvals(self.regular_matrix())).max())
 
     def norm(self, kind: str = "frobenius", decomposition=None) -> float:
@@ -321,6 +365,7 @@ class Element:
         ``direct-sum`` : max over local components of the operator norm of the
                          component action; needs ``decomposition``.
         """
+        self._point("Element.norm")
         if kind == "frobenius":
             return float(np.linalg.norm(self.regular_matrix(), "fro"))
         if kind == "operator":
@@ -333,14 +378,19 @@ class Element:
 
     def coord_norm(self) -> float:
         """Euclidean norm of the raw coordinates (a vector norm, not an algebra norm)."""
-        return float(np.linalg.norm(self.coords))
+        return float(np.linalg.norm(self._point("Element.coord_norm")))
 
 
 # -- coordinate stacks: many elements at once, one column each ---------------
 
 def _batch_mul(algebra: Algebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Columnwise algebra product of two (n, T) coordinate stacks: lambda(a_t) b_t."""
-    return (_batch_regular(algebra, a) @ b.T[:, :, None])[:, :, 0].T
+    return _batch_apply(_batch_regular(algebra, a), b)
+
+
+def _batch_apply(lams: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Columnwise matrix action lams[t] x_t of a (T, m, n) stack on an (n, T) stack."""
+    return (lams @ x.T[:, :, None])[:, :, 0].T
 
 
 def _batch_regular(algebra: Algebra, x: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import Algebra, Element, _batch_mul, _batch_norm, _unit_columns
-from .crsystem import FunctionSampler, gcru_residual
+from .crsystem import FunctionSampler, _gcru_residuals, default_step
 from .decomposition import Decomposition, _local_inverse, artin_decompose
 from .errors import (
     EstimateViolated,
@@ -624,17 +624,16 @@ def index_quadrature(cycle, Z0: Element, phi: Morphism,
 # ---------------------------------------------------------------------------
 
 def _spot_check_holomorphy(f, cycle: Cycle, phi: Morphism) -> None:
+    """The CR residual at three points of the first segment, whose stencils
+    are sampled in one call; a warning when one exceeds 1e-2."""
     path = cycle.terms[0][1]
-    src = path.algebra
-    sampler = _sampled(f, src, phi.target)
-    for t in (0.17, 0.43, 0.81):
-        Z = src.element(path.segments[0].points(np.array([t]))[:, 0])
-        res = gcru_residual(sampler, phi, Z)
-        if res > 1e-2:
-            warnings.warn(f"integrand looks non-holomorphic near the path "
-                          f"(residual {res:.2e}); Cauchy formulas may not apply",
-                          stacklevel=3)
-            return
+    pts = path.segments[0].points(np.array([0.17, 0.43, 0.81]))
+    steps = np.array([default_step(path.algebra.element(z)) for z in pts.T])
+    res = _gcru_residuals(_sampled(f, path.algebra, phi.target), phi, pts, steps)
+    if (res > 1e-2).any():
+        warnings.warn(f"integrand looks non-holomorphic near the path "
+                      f"(residual {res[res > 1e-2][0]:.2e}); Cauchy formulas may not apply",
+                      stacklevel=3)
 
 
 def _index_inverse(idx: SpectralIndex, target: Algebra, seed: int) -> Element:
@@ -682,6 +681,7 @@ def cif_derivative(f, cycle, Z0: Element, k: int, phi: Morphism,
     scale = _cif_scale(k)
     tol = quad_tolerance(tol) * min(1.0, 2 * math.pi / math.factorial(k))
     cyc = as_cycle(cycle)
+    f = _sampled(f, cyc.algebra, phi.target)   # one sampler, so one stacked-call verdict
     if spot_check:
         _spot_check_holomorphy(f, cyc, phi)
 
@@ -719,6 +719,7 @@ def taylor_from_contour(f, cycle, Z0: Element, K: int, phi: Morphism,
     cyc = as_cycle(cycle)
     tgt = phi.target
     inv_idx = _index_inverse(index_spectral(cyc, Z0, phi, seed), tgt, seed)
+    f = _sampled(f, cyc.algebra, tgt)
     _spot_check_holomorphy(f, cyc, phi)
 
     raw = _cauchy_kernel_integral(cyc, Z0, phi, range(1, K + 2), f, tol, seed)
@@ -728,7 +729,7 @@ def taylor_from_contour(f, cycle, Z0: Element, K: int, phi: Morphism,
     circle = _scalar_circle_at(cyc, Z0)
     if circle is not None:
         ts = np.linspace(0.0, 1.0, 257)
-        f_circle = _sampled(f, cyc.algebra, tgt).values(circle.points(ts))
+        f_circle = f.values(circle.points(ts))
         sup = float(_batch_norm(tgt, f_circle, "operator").max())
         fact = np.array([math.factorial(k) for k in range(K + 1)], dtype=float)
         lhs = fact * _batch_norm(tgt, coeffs, "operator")
@@ -765,6 +766,7 @@ def homological_cif_check(f, cycle, Z0: Element, phi: Morphism,
     for spectrally null-homologous cycles.
     """
     cyc = as_cycle(cycle)
+    f = _sampled(f, cyc.algebra, phi.target)
     idx = index_spectral(cyc, Z0, phi, seed=seed)
     rhs = cif_value(f, cyc, Z0, phi, tol, spot_check=False, seed=seed)
     lhs = f(Z0) * idx.element

@@ -49,20 +49,36 @@ class FunctionSampler:
     """Deterministic evaluation callback Z |-> f(Z) from source to target.
 
     Where f is holomorphic is the caller's claim; the holomorphy tests of this
-    module and the Cauchy formulas' spot check probe it.  ``batch``, when
-    given, is the same map on coordinate stacks: it takes an (n, T) array
-    whose columns are source points and returns the (m, T) array of their
-    values.  :meth:`values` uses it; without it the scalar ``fn`` is looped
-    over the columns.
+    module and the Cauchy formulas' spot check probe it.
+
+    :meth:`values` evaluates f at the columns of an (n, T) coordinate stack
+    by one call of ``fn`` on the stacked :class:`Element`, whose coords are
+    the whole array.  On the first call with T > 1 the result is checked: it
+    must be an Element of the target with (m, T) coords whose first and last
+    columns equal ``fn`` on those two points alone to 1e-12 relative.  If the
+    check fails or the stacked call raises, ``fn`` is called once per column,
+    on this and every later call; the verdict is kept on the sampler.  Ring
+    arithmetic (``+``, ``-``, ``*``, scalars, positive powers) acts
+    columnwise on stacks and the single-point Element methods refuse them,
+    so callables built from those pass.  A callable that reduces over the
+    coordinates (``Z.coords.sum()``) mixes the columns of a stack, and the
+    check sees that only in the first or last column: such a callable
+    should refuse stacks itself.
     """
 
     fn: Callable[[Element], Element]
     source: Algebra
     target: Algebra
-    batch: Callable[[np.ndarray], np.ndarray] | None = None
+    # whether fn acts columnwise on stacks; None until values first meets a stack
+    _stacked: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, Z: Element) -> Element:
-        out = self._guarded(self.fn, Z)
+        try:
+            out = self.fn(Z)
+        except HoloalgError:
+            raise
+        except Exception as exc:  # propagate as a library error
+            raise SamplerFailure(f"sampler raised {exc!r}") from exc
         if not isinstance(out, Element) or not self.target.compatible(out.algebra):
             raise SamplerFailure("sampler returned a value outside the target algebra")
         return out
@@ -71,30 +87,31 @@ class FunctionSampler:
         """Values at the columns of an (n, T) coordinate stack, as an (m, T) stack."""
         coords = np.asarray(coords, dtype=complex)
         shape = (self.target.dim, coords.shape[1])
-        if self.batch is None:
-            out = np.empty(shape, dtype=complex)
-            for t in range(shape[1]):
-                out[:, t] = self(Element(self.source, coords[:, t])).coords
-            return out
-        out = self._guarded(self.batch, coords)
-        if not isinstance(out, np.ndarray) or out.shape != shape:
-            raise SamplerFailure(f"batch sampler returned shape {np.shape(out)}, not {shape}")
-        return out.astype(complex, copy=False)
+        if shape[1] > 1 and self._stacked is not False:
+            try:
+                out = self.fn(Element(self.source, coords))
+                ok = (isinstance(out, Element) and self.target.compatible(out.algebra)
+                      and out.coords.shape == shape)
+            except Exception:
+                ok = False
+            if self._stacked is None:
+                object.__setattr__(self, "_stacked", ok and self._agrees(out.coords, coords))
+            if ok and self._stacked:
+                return out.coords.copy()   # writable, as the loop's result is
+        out = np.empty(shape, dtype=complex)
+        for t in range(shape[1]):
+            out[:, t] = self(Element(self.source, coords[:, t])).coords
+        return out
 
-    @staticmethod
-    def _guarded(fn, arg):
-        try:
-            return fn(arg)
-        except HoloalgError:
-            raise
-        except Exception as exc:  # propagate as a library error
-            raise SamplerFailure(f"sampler raised {exc!r}") from exc
+    def _agrees(self, out: np.ndarray, coords: np.ndarray) -> bool:
+        """Whether the first and last stacked columns match fn on those points alone."""
+        ref = np.column_stack([self(Element(self.source, coords[:, t])).coords for t in (0, -1)])
+        return bool(np.abs(out[:, [0, -1]] - ref).max() <= 1e-12 * np.abs(ref).max())
 
 
 def conjugation_sampler(algebra: Algebra) -> FunctionSampler:
     """Coordinatewise complex conjugation; the canonical non-holomorphic map."""
-    return FunctionSampler(lambda Z: algebra.element(np.conj(Z.coords)),
-                           algebra, algebra, batch=np.conj)
+    return FunctionSampler(lambda Z: Element(algebra, np.conj(Z.coords)), algebra, algebra)
 
 
 @dataclass(frozen=True)
@@ -222,13 +239,15 @@ def scheffers_system(phi: Morphism) -> ScheffersSystem:
 # finite-difference engine
 # ---------------------------------------------------------------------------
 
-def _stencil_derivatives(f: FunctionSampler, Z: Element, h: float):
+def _stencil_derivatives(f: FunctionSampler, Z: np.ndarray, h):
     """Real-step and imaginary-step central differences along every source
-    coordinate, from one batched evaluation of the 4n-point stencil."""
-    n = f.source.dim
-    steps = np.concatenate([h * np.eye(n), 1j * h * np.eye(n)], axis=1)
-    vals = f.values(Z.coords[:, None] + np.concatenate([steps, -steps], axis=1))
-    diff = vals[:, :2 * n] - vals[:, 2 * n:]
+    coordinate at the P columns of Z, with step h (or h[p] at point p), from
+    one evaluation of all P 4n-point stencils: two (m, n, P) stacks."""
+    n, P = Z.shape
+    steps = np.concatenate([np.eye(n), 1j * np.eye(n)], axis=1)
+    pts = Z[:, None, :] + np.concatenate([steps, -steps], axis=1)[:, :, None] * h
+    vals = f.values(pts.reshape(n, -1))
+    diff = (vals[:, :2 * n * P] - vals[:, 2 * n * P:]).reshape(-1, 2 * n, P)
     return diff[:, :n] / (2 * h), diff[:, n:] / (2j * h)
 
 
@@ -240,7 +259,8 @@ def partial_derivatives(f: FunctionSampler, Z: Element, h: float):
     between the two estimates (zero to O(h^2) iff f is complex-differentiable
     in each coordinate).
     """
-    d_re, d_im = _stencil_derivatives(f, Z, h)
+    d_re, d_im = _stencil_derivatives(f, Z.coords[:, None], h)
+    d_re, d_im = d_re[:, :, 0], d_im[:, :, 0]
     mismatch = float(np.abs(d_re - d_im).max())
     return (d_re + d_im) / 2, mismatch
 
@@ -253,10 +273,17 @@ def gcru_residual(f: FunctionSampler, phi: Morphism, Z: Element,
     mismatch is folded in, so conjugation-type maps score ~2.
     """
     h = default_step(Z) if h is None else h
-    D, mismatch = partial_derivatives(f, Z, h)
-    B = D @ phi.source.unit_coords  # f'(Z) coordinates via the unit expansion
-    residual = np.abs(D - np.einsum("jrs,s->rj", phi.gamma, B)).max()
-    return max(float(residual), mismatch)
+    return float(_gcru_residuals(f, phi, Z.coords[:, None], h)[0])
+
+
+def _gcru_residuals(f: FunctionSampler, phi: Morphism, Z: np.ndarray, h) -> np.ndarray:
+    """gcru_residual at the P columns of Z, with step h (or h[p] at point p),
+    from one evaluation of all their stencils."""
+    d_re, d_im = _stencil_derivatives(f, Z, h)
+    D = (d_re + d_im) / 2
+    B = np.einsum("ijp,j->ip", D, phi.source.unit_coords)   # f'(Z_p) via the unit expansion
+    residual = np.abs(D - np.einsum("jrs,sp->rjp", phi.gamma, B)).max(axis=(0, 1))
+    return np.maximum(residual, np.abs(d_re - d_im).max(axis=(0, 1)))
 
 
 def numeric_derivative(f: FunctionSampler, phi: Morphism, Z: Element,
@@ -279,7 +306,8 @@ def jacobian_consistency(f: FunctionSampler, Z: Element,
         raise NonSquare("Jacobian comparison needs an endomorphism sampler")
     h = default_step(Z) if h is None else h
     src = f.source
-    d_re, d_im = _stencil_derivatives(f, Z, h)
+    d_re, d_im = _stencil_derivatives(f, Z.coords[:, None], h)
+    d_re, d_im = d_re[:, :, 0], d_im[:, :, 0]
     jac = (d_re + d_im) / 2
     defect = float(np.linalg.norm(d_re - d_im, "fro")) / 2
     b = src.element(jac @ src.unit_coords)  # f'(Z)
@@ -321,7 +349,8 @@ def recover_structure(f: FunctionSampler, points: Sequence[Element],
 
     ``derivatives[t]`` must be f'(Z_t); the n vectors have to be linearly
     independent (else :class:`RankDeficient`).  Jacobians are taken by
-    central differences from ``f`` unless supplied.  Each row of constants
+    central differences from ``f`` unless supplied, all stencils in one
+    :meth:`FunctionSampler.values` call.  Each row of constants
     solves  df^i/dz^j(Z_t) = sum_s alpha^i_{js} f'^s(Z_t),  the ratio of
     determinants in closed form; the recovered tensor is revalidated and
     :class:`InvalidRecovered` is raised when the identities fail post-hoc.
@@ -338,11 +367,9 @@ def recover_structure(f: FunctionSampler, points: Sequence[Element],
         raise RankDeficient("derivative samples do not span the coordinate space")
 
     if jacobians is None:
-        jacobians = []
-        for Z in points:
-            hz = default_step(Z) if h is None else h
-            D, _ = partial_derivatives(f, Z, hz)
-            jacobians.append(D)
+        steps = np.array([default_step(Z) if h is None else h for Z in points])
+        d_re, d_im = _stencil_derivatives(f, np.column_stack([Z.coords for Z in points]), steps)
+        jacobians = ((d_re + d_im) / 2).transpose(2, 0, 1)
 
     # row t of the right-hand sides: df^i/dz^j(Z_t) for every (i, j); solution [s, i, j]
     sol = np.linalg.solve(G.T, np.reshape(jacobians, (n, n * n)))

@@ -33,12 +33,12 @@ All randomness is behind an explicit seed so results are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Algebra, Element, _batch_mul, _batch_regular
-from .errors import ClusteringAmbiguous, NotAUnit, NotNilpotent
+from .algebra import Algebra, Element, _batch_apply, _batch_mul, _batch_regular
+from .errors import AlgebraMismatch, ClusteringAmbiguous, NotAUnit, NotNilpotent
 
 NIL_RANK_TOL = 1e-10
 CLUSTER_TOL = 1e-8
@@ -101,6 +101,8 @@ class Decomposition:
     maximal_ideal_bases: tuple[np.ndarray, ...]
     spectral_rows: np.ndarray
     nilradical_basis: np.ndarray
+    # the profile of these components, computed by the first profile() call
+    _profile: Profile | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a decomposition is cached on its algebra and shared: freeze its arrays
@@ -164,11 +166,14 @@ def artin_decompose(algebra: Algebra, seed: int = 0) -> Decomposition:
     the idempotents' traces tr lambda(e_l), the component dimensions, are
     not within 1e-8 of positive integers summing to the algebra's dimension.
     Results are cached on the algebra per (algebra, seed), so repeated calls
-    return the same read-only object; a call that raises caches nothing.
+    return the same read-only object, its :func:`profile` computed with it; a
+    call that raises caches nothing.
     """
     cache = algebra._decompositions
     if seed not in cache:
-        cache[seed] = _decompose(algebra, seed)
+        dec = _decompose(algebra, seed)
+        profile(algebra, dec)
+        cache[seed] = dec
     return cache[seed]
 
 
@@ -280,8 +285,17 @@ def profile(algebra: Algebra, dec: Decomposition) -> Profile:
     ordered by decreasing ideal power (vectors of m^(nu-1) first, the
     component unit last).  Ranks are cut off against the size of the structure
     constants, which bounds every product of unit vectors, so a power of the
-    ideal made only of rounding error has rank 0.
+    ideal made only of rounding error has rank 0.  The profile is computed once
+    per decomposition and kept on it, like the decomposition on its algebra.
     """
+    if algebra is not dec.algebra and not algebra.compatible(dec.algebra):
+        raise AlgebraMismatch("the decomposition belongs to another algebra")
+    if dec._profile is None:
+        object.__setattr__(dec, "_profile", _profile(algebra, dec))
+    return dec._profile
+
+
+def _profile(algebra: Algebra, dec: Decomposition) -> Profile:
     scale = float(np.linalg.norm(algebra.alpha))
     comps = []
     for k in range(dec.count):
@@ -311,7 +325,7 @@ def profile(algebra: Algebra, dec: Decomposition) -> Profile:
                 if np.linalg.norm(v) > NIL_RANK_TOL:
                     chosen.append(v / np.linalg.norm(v))
         chosen.append(dec.idempotents[k].coords)
-        comps.append(ComponentProfile(height, widths, np.column_stack(chosen)))
+        comps.append(ComponentProfile(height, widths, _frozen(np.column_stack(chosen))))
     return Profile(tuple(comps))
 
 
@@ -334,16 +348,17 @@ def _local_parts(dec: Decomposition, w: np.ndarray, orders, x: np.ndarray | None
 def _local_inverse(dec: Decomposition, w: np.ndarray) -> np.ndarray:
     """Inverses of the units of an (n, T) coordinate stack, by the local
     expansion of 1/s in stacked form: u = sum_l e_l / s_l inverts the
-    spectral parts, X = w u - 1 is nilpotent with X^nu = 0 for nu =
-    max(component_dims), and w^-1 = u sum_{j<nu} (-X)^j, summed by Horner.
-    The callers check that no s_l vanishes."""
-    algebra, nu = dec.algebra, max(dec.component_dims)
+    spectral parts, X = w u - 1 is nilpotent with X^nu = 0 for nu the largest
+    height of the (cached) profile, and w^-1 = u sum_{j<nu} (-X)^j, summed by
+    Horner in nu - 1 products.  The callers check that no s_l vanishes."""
+    algebra = dec.algebra
+    nu = max(profile(algebra, dec).heights)
     idempotents = np.column_stack([e.coords for e in dec.idempotents])
     inv = u = idempotents @ (1 / (dec.spectral_rows @ w))
     if nu > 1:   # else the algebra is reduced, X = 0 and u is the inverse
         lam_x = _batch_regular(algebra, _batch_mul(algebra, w, u) - algebra.unit_coords[:, None])
         for _ in range(nu - 1):
-            inv = u - (lam_x @ inv.T[:, :, None])[:, :, 0].T
+            inv = u - _batch_apply(lam_x, inv)
     return inv
 
 

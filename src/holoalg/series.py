@@ -62,9 +62,10 @@ BoundaryIndeterminate = _Verdict("BoundaryIndeterminate")
 
 def _tail_radius(norms: np.ndarray, bound: int):
     """1 / max ||B_n||^(1/n) over the tail window n in [bound/2, bound], per row
-    of ``norms``; infinite when the window vanishes."""
+    of ``norms``, whose last axis holds the window's norms (of
+    :meth:`_Coefficients._tail_window`); infinite when the window vanishes."""
     lo = max(1, bound // 2)
-    sup = (norms[..., lo:bound + 1] ** (1.0 / np.arange(lo, bound + 1))).max(axis=-1)
+    sup = (norms ** (1.0 / np.arange(lo, bound + 1))).max(axis=-1)
     with np.errstate(divide="ignore"):
         return 1.0 / sup
 
@@ -142,6 +143,10 @@ class _Coefficients:
         if K > have and not self.is_polynomial:
             self._stack = np.hstack([self._stack, self._read(have, K)])
         return self._stack[:, :K]
+
+    def _tail_window(self) -> np.ndarray:
+        """B_n for n in [bound/2, bound], the only coefficients the radii read."""
+        return self._window(self.rule_bound + 1)[:, max(1, self.rule_bound // 2):]
 
     def _expand(self, z: np.ndarray, P: np.ndarray, thr: float) -> np.ndarray:
         """sum_{l,j} T_j(z_l) P[:, l, j]: the Taylor data T_j(s) = sum_k C(k, j)
@@ -232,14 +237,14 @@ class PowerSeries(_Coefficients):
         return est_f
 
     def _radius_estimate(self, kind: str) -> float:
-        norms = _batch_norm(self.target, self._window(self.rule_bound + 1), kind)
+        norms = _batch_norm(self.target, self._tail_window(), kind)
         return float(_tail_radius(norms, self.rule_bound))
 
     def spectral_divergence_radius(self) -> float:
         """Diagnostic 1 / limsup rho(B_n)^(1/n); always >= the radius."""
         if self.is_polynomial:
             return math.inf
-        lam = _batch_regular(self.target, self._window(self.rule_bound + 1))
+        lam = _batch_regular(self.target, self._tail_window())
         return float(_tail_radius(np.abs(np.linalg.eigvals(lam)).max(axis=1), self.rule_bound))
 
     def component_radii(self) -> np.ndarray:
@@ -249,7 +254,7 @@ class PowerSeries(_Coefficients):
             if self.is_polynomial:
                 self._component_radii = np.full(dec.count, math.inf)
             else:
-                stack = self._window(self.rule_bound + 1)
+                stack = self._tail_window()
                 norms = np.array([
                     np.linalg.norm(basis.conj().T @ self.target.regular_matrix(e.coords) @ stack,
                                    axis=0)
@@ -274,7 +279,8 @@ class PowerSeries(_Coefficients):
         if not self.phi.source.compatible(Z.algebra):
             raise ValueError("point must live in the source algebra")
         if self.is_polynomial:
-            return self.target.element(self._horner(Z.coords[:, None])[:, 0])
+            return Element(self.target, self._horner(Z.coords))
+        Z._point("PowerSeries.evaluate of a rule series")
         s, P = self._local(Z)
         thr = self._threshold(s)
         if isinstance(thr, _Verdict):
@@ -315,18 +321,18 @@ class PowerSeries(_Coefficients):
         return self.evaluate_strict(Z) if self.is_polynomial else self.evaluate(Z)
 
     def sampler(self) -> FunctionSampler:
-        """The series as a sampler; polynomials also evaluate coordinate stacks."""
-        return FunctionSampler(self.evaluate_strict, self.phi.source, self.phi.target,
-                               batch=self._horner if self.is_polynomial else None)
+        """The series as a sampler; a polynomial evaluates stacks in one call."""
+        return FunctionSampler(self.evaluate_strict, self.phi.source, self.phi.target)
 
     def _horner(self, X: np.ndarray) -> np.ndarray:
-        """Horner's rule on the columns of an (n, T) stack of source points, with
-        the multiplication by each w_t = phi(X_t - Z0) formed once."""
-        lam = _batch_regular(self.target, self.phi.matrix @ (X - self.center.coords[:, None]))
-        acc = np.repeat(self.coeffs[-1].coords[None, :], X.shape[1], axis=0)
+        """Horner's rule at a point or at the columns of an (n, T) stack of source
+        points, with the multiplication by each w_t = phi(X_t - Z0) formed once."""
+        X2 = X.reshape(len(X), -1)
+        lam = _batch_regular(self.target, self.phi.matrix @ (X2 - self.center.coords[:, None]))
+        acc = np.repeat(self.coeffs[-1].coords[None, :], X2.shape[1], axis=0)
         for c in reversed(self.coeffs[:-1]):
             acc = (lam @ acc[:, :, None])[:, :, 0] + c.coords
-        return acc.T
+        return acc.T.reshape((-1,) + X.shape[1:])
 
     def derive(self) -> "PowerSeries":
         """Term-wise derivative: coefficients (k+1) B_{k+1}; radius preserved."""
@@ -357,7 +363,7 @@ class ScalarSeries(_Coefficients):
     def radius(self) -> float:
         if self._radius is None:
             self._radius = math.inf if self.is_polynomial else float(_tail_radius(
-                _batch_norm(self.target, self._window(self.rule_bound + 1)), self.rule_bound))
+                _batch_norm(self.target, self._tail_window()), self.rule_bound))
         return self._radius
 
     def _tail(self):
@@ -393,6 +399,7 @@ class CanonicalForm:
     def evaluate(self, Z: Element) -> Element:
         if not self.phi.source.compatible(Z.algebra):
             raise ValueError("point must live in the source algebra")
+        Z._point("CanonicalForm.evaluate")
         radius = self.scalar.radius()
         z, P = _local_parts(self.dec_target, self.phi.matrix @ Z.coords, self.heights)
         far = np.abs(z - self.scalar.center) >= radius

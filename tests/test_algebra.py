@@ -308,3 +308,41 @@ def test_equal_elements_of_separately_built_algebras_hash_alike():
     assert a == b and len({a, b}) == 1
     # -0.0 == 0.0, so the signed zero must not split the hash either
     assert len({a.algebra.element([0.0, 2]), b.algebra.element([-0.0, 2])}) == 1
+
+
+# -- stacks of elements ----------------------------------------------------------------
+
+def test_stacks_broadcast_against_single_elements(dual):
+    X = np.array([[0.5, 1j, 2.0], [0.25, 2.0, -1.0]])
+    Z, c0, c1 = ha.Element(dual, X), dual.element([1, 2]), dual.element([-1j, 0.5])
+    got = (c0 + Z * c1 - 2.0) * Z + 1j - Z ** 3
+    for t, x in enumerate(X.T):
+        z = dual.element(x)
+        want = (c0 + z * c1 - 2.0) * z + 1j - z ** 3
+        assert np.abs(got.coords[:, t] - want.coords).max() <= 1e-15 * np.abs(want.coords).max()
+    assert (Z ** 0).coords.shape == X.shape and Z / 2.0 == Z * 0.5
+    for bad in (np.zeros((3, 2)), np.zeros(3)):
+        with pytest.raises(ValueError, match="expected 2 coordinates per point"):
+            ha.Element(dual, bad)
+
+
+REFUSALS = {
+    "invert": lambda Z: Z.invert(),
+    "is_unit": lambda Z: Z.is_unit(),
+    "norm": lambda Z: Z.norm(),
+    "coord_norm": lambda Z: Z.coord_norm(),
+    "spectral_radius": lambda Z: Z.spectral_radius(),
+    "regular_matrix": lambda Z: Z.regular_matrix(),
+    "__truediv__": lambda Z: Z.algebra.unit() / Z,
+    "__rtruediv__": lambda Z: 1.0 / Z,
+    "__pow__": lambda Z: Z ** -1,
+    "__hash__": lambda Z: hash(Z),
+}
+
+
+@pytest.mark.parametrize("method", sorted(REFUSALS))
+def test_single_point_methods_refuse_stacks(dual, method):
+    stack = ha.Element(dual, np.array([[1.0, 2.0], [0.5, 0.0]]))
+    with pytest.raises(ValueError, match=rf"Element\.{method}.* not on a stack of 2"):
+        REFUSALS[method](stack)
+    REFUSALS[method](dual.element([1.0, 0.5]))   # one point still works

@@ -1,11 +1,14 @@
-"""The batched evaluation path: FunctionSampler.values, the breadth-first
-integrator and the one-pass Taylor recovery, against scalar references."""
+"""The batched evaluation path: FunctionSampler.values on stacked Elements,
+the breadth-first integrator and the one-pass Taylor recovery, against scalar
+references."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holoalg as ha
 from holoalg import contour
@@ -30,12 +33,25 @@ def random_polynomial(rng, phi, degree):
     return ha.PowerSeries.polynomial(phi, phi.source.random_element(rng, 0.3), coeffs)
 
 
+@dataclasses.dataclass(frozen=True)
+class Counting(ha.FunctionSampler):
+    """A sampler that records the number of points of each values call."""
+
+    seen: list = dataclasses.field(default_factory=list)
+
+    def values(self, coords):
+        self.seen.append(coords.shape[1])
+        return super().values(coords)
+
+
 def counting(sampler, seen):
-    """The same sampler, recording the number of points of each batched call."""
-    def batch(X):
-        seen.append(X.shape[1])
-        return sampler.values(X)
-    return dataclasses.replace(sampler, batch=batch)
+    """The same map as a new sampler, recording the points of each values call."""
+    return Counting(sampler.fn, sampler.source, sampler.target, seen)
+
+
+def looped(f, X):
+    """The column loop: f called on one point per column of X."""
+    return np.column_stack([f(ha.Element(f.source, x)).coords for x in X.T])
 
 
 # -- FunctionSampler.values ---------------------------------------------------------
@@ -48,9 +64,9 @@ def test_polynomial_batch_matches_evaluate_strict(dual, split, t3, cline, sigma_
     for phi in cases:
         series = random_polynomial(rng, phi, degree=5)
         sampler = series.sampler()
-        assert sampler.batch is not None
         X = np.column_stack([phi.source.random_element(rng).coords for _ in range(9)])
         got = sampler.values(X)
+        assert sampler._stacked   # Horner's rule took the stack in one call
         want = np.column_stack([series.evaluate_strict(phi.source.element(x)).coords
                                 for x in X.T])
         assert got.shape == (phi.target.dim, 9)
@@ -58,25 +74,112 @@ def test_polynomial_batch_matches_evaluate_strict(dual, split, t3, cline, sigma_
 
 
 def test_rule_series_and_plain_samplers_loop(dual, id_dual):
-    assert ha.geometric_series(id_dual).sampler().batch is None
-    f = ha.FunctionSampler(lambda Z: Z * Z, dual, dual)
-    X = np.array([[0.5, 1j], [0.25, 2.0]])
+    X = np.array([[0.5, 0.3j, 0.1], [0.25, 2.0, -0.3j]])
+    # a rule series refuses stacks, so its sampler loops over the columns
+    geometric = ha.geometric_series(id_dual).sampler()
+    assert np.array_equal(geometric.values(X), looped(geometric, X))
+    assert geometric._stacked is False
+    # a stacked result of the wrong shape falls back to the loop
+    first_only = ha.FunctionSampler(
+        lambda Z: Z * Z if Z.coords.ndim == 1 else ha.Element(dual, (Z * Z).coords[:, :1]),
+        dual, dual)
     want = np.column_stack([(dual.element(x) * dual.element(x)).coords for x in X.T])
-    assert np.array_equal(f.values(X), want)
+    assert np.array_equal(first_only.values(X), want)
+    assert first_only._stacked is False
+    # plain arithmetic takes the stack
+    square = ha.FunctionSampler(lambda Z: Z * Z, dual, dual)
+    assert np.abs(square.values(X) - want).max() <= 1e-15 and square._stacked
 
 
 def test_batch_failures_become_sampler_failures(dual):
-    wrong_shape = ha.FunctionSampler(lambda Z: Z, dual, dual, batch=lambda X: X[:1])
-    with pytest.raises(SamplerFailure, match="shape"):
-        wrong_shape.values(np.zeros((2, 3)))
-
-    def broken(X):
-        raise ValueError("boom")
+    # a callable that fails at one point fails the stacked attempt and the loop
+    def broken(Z):
+        if np.any(Z.coords[0] == 0.5):
+            raise ValueError("boom")
+        return Z
+    X = np.array([[0.0, 0.5, 1.0], [0.0, 0.0, 0.0]])
     with pytest.raises(SamplerFailure, match="boom"):
-        ha.FunctionSampler(lambda Z: Z, dual, dual, batch=broken).values(np.zeros((2, 3)))
+        ha.FunctionSampler(broken, dual, dual).values(X)
     outside = ha.FunctionSampler(lambda Z: 1.0, dual, dual)
-    with pytest.raises(SamplerFailure):
-        outside.values(np.zeros((2, 1)))
+    for T in (1, 3):
+        with pytest.raises(SamplerFailure, match="outside the target"):
+            outside.values(np.zeros((2, T)))
+
+
+FACTORS = {"C": ha.complex_line(), "dual": ha.dual_numbers(), "split": ha.split_complex(),
+           "t3": ha.truncated_polynomials(3), "bidual": ha.bidual()}
+OPS = ("+Z", "-Z", "*Z", "+c", "c-", "*c", "+C", "*C", "**")
+
+
+@st.composite
+def arithmetic(draw):
+    """A direct sum (dim 1-10) in a random unitary basis, five points, and a
+    callable made of a few steps of ring arithmetic with scalars, constant
+    elements and positive powers."""
+    names = draw(st.lists(st.sampled_from(sorted(FACTORS)), min_size=1, max_size=4)
+                 .filter(lambda ns: sum(FACTORS[n].dim for n in ns) <= 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    algebra = random_basis_sum(rng, *(FACTORS[n] for n in names))
+    steps = draw(st.lists(st.tuples(st.sampled_from(OPS), st.integers(1, 3)),
+                          min_size=1, max_size=5))
+    c = complex(*rng.standard_normal(2))
+    C = algebra.random_element(rng, 0.5)
+
+    def fn(Z):
+        acc = Z
+        for op, p in steps:
+            acc = {"+Z": lambda: acc + Z, "-Z": lambda: Z - acc, "*Z": lambda: acc * Z,
+                   "+c": lambda: acc + c, "c-": lambda: c - acc, "*c": lambda: c * acc,
+                   "+C": lambda: C + acc, "*C": lambda: C * acc, "**": lambda: acc ** p}[op]()
+        return acc
+
+    X = rng.standard_normal((algebra.dim, 5)) + 1j * rng.standard_normal((algebra.dim, 5))
+    return ha.FunctionSampler(fn, algebra, algebra), 0.5 * X
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(arithmetic())
+def test_stacked_arithmetic_matches_the_column_loop(case):
+    f, X = case
+    got, want = f.values(X), looped(f, X)
+    assert f._stacked
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_a_reducing_callable_gets_the_loops_answer(dual):
+    f = ha.FunctionSampler(lambda Z: Z * complex(Z.coords.sum()), dual, dual)
+    X = np.array([[0.5, 1j, 2.0], [0.25, 2.0, -1.0]])
+    assert np.array_equal(f.values(X), looped(f, X))
+    assert f._stacked is False
+
+
+def test_a_refused_stack_is_attempted_once(dual):
+    shapes = []
+
+    def points_only(Z):
+        shapes.append(Z.coords.shape)
+        if Z.coords.ndim == 2:
+            raise TypeError("one point at a time")
+        return Z * Z
+    f = ha.FunctionSampler(points_only, dual, dual)
+    X = np.array([[0.5, 1j, 2.0], [0.25, 2.0, -1.0]])
+    first, second = f.values(X), f.values(X)
+    assert np.array_equal(first, second)
+    assert shapes.count((2, 3)) == 1 and shapes.count((2,)) == 6
+
+
+def test_recover_structure_samples_every_stencil_in_one_call():
+    rng = np.random.default_rng(14)
+    algebra = random_basis_sum(rng, *(FACTORS[n] for n in ("bidual", "t3", "dual", "C")))
+    assert algebra.dim == 10
+    shapes = []
+    f = ha.FunctionSampler(lambda Z: shapes.append(Z.coords.shape) or 0.5 * (Z * Z),
+                           algebra, algebra)
+    points = [algebra.random_element(rng) for _ in range(10)]
+    tensor = ha.recover_structure(f, points, points)   # f'(Z) = Z
+    # 4n stencil points at each of the n points, then the two check columns
+    assert shapes == [(10, 400), (10,), (10,)]
+    assert np.abs(tensor.alpha - algebra.alpha).max() < 1e-8
 
 
 # -- finite differences ---------------------------------------------------------------
@@ -436,6 +539,7 @@ def test_taylor_samples_f_once_per_level(dual, id_dual, cubic):
     seen = []
     ha.taylor_from_contour(counting(cubic.sampler(), seen), ha.Path.circle(Z0, 1.0), Z0, 6,
                            id_dual)
-    # three spot-check stencils, the quadrature levels, the 257-point bound check
-    assert seen[:3] == [8, 8, 8] and seen[-1] == 257
-    assert all(n % 16 == 0 for n in seen[3:-1])
+    # the three spot-check stencils in one call, the quadrature levels, the
+    # 257-point bound check
+    assert seen[0] == 3 * 4 * dual.dim and seen[-1] == 257
+    assert all(n % 16 == 0 for n in seen[1:-1])

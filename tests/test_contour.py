@@ -403,6 +403,15 @@ def test_cif_spot_check_warns_for_conjugation(dual, id_dual):
         ha.cif_value(conj, unit_circle(dual), dual.zero(), id_dual)
 
 
+def test_cif_spot_check_sees_every_spot_point(dual, id_dual):
+    # conjugation on the left half-plane only: of the spot points at t = 0.17,
+    # 0.43 and 0.81 on the unit circle, only the second lies there
+    f = ha.FunctionSampler(lambda Z: dual.element(np.conj(Z.coords)) if Z.coords[0].real < 0
+                           else Z, dual, dual)
+    with pytest.warns(UserWarning, match=r"non-holomorphic near the path \(residual 2"):
+        contour._spot_check_holomorphy(f, contour.as_cycle(unit_circle(dual)), id_dual)
+
+
 def test_coefficients_from_derivatives(dual, id_dual, cubic):
     circ = unit_circle(dual)
     f = cubic.sampler()

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holoalg as ha
+from holoalg import decomposition
+from holoalg.algebra import _batch_regular
 
 from test_batched import random_basis_sum
 from test_node_kernels import FACTORS
@@ -88,3 +90,30 @@ def test_local_expansion_makes_no_element_arithmetic(monkeypatch):
     monkeypatch.undo()
     assert close(inverse * u, algebra.unit()) and close(back, u)
     assert nil.shape == dec.nilradical_basis.shape
+
+
+@checked
+@given(units())
+def test_local_inverse_matches_the_linear_solve(case):
+    algebra, dec, u = case
+    w = np.column_stack([u.coords, (u * u).coords, (0.5j * u).coords])
+    rhs = np.broadcast_to(algebra.unit_coords[:, None], (algebra.dim, 3))
+    want = np.linalg.solve(_batch_regular(algebra, w), rhs.T[:, :, None])[:, :, 0].T
+    got = decomposition._local_inverse(dec, w)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_local_inverse_runs_one_product_per_height_step(monkeypatch):
+    # bidual numbers: one component of dimension 4 and height 3 (xy != 0 = x^2 = y^2)
+    bidual = ha.bidual()
+    dec = ha.artin_decompose(bidual)
+    assert dec.component_dims == (4,) and ha.profile(bidual, dec).heights == (3,)
+    products = []
+    apply = decomposition._batch_apply
+    monkeypatch.setattr(decomposition, "_batch_apply",
+                        lambda lams, x: products.append(1) or apply(lams, x))
+    u = bidual.element([1.5, 0.4, -0.3j, 0.7])
+    inverse = ha.invert_via_series(u, dec)
+    assert len(products) == 2
+    monkeypatch.undo()
+    assert close(inverse * u, bidual.unit())

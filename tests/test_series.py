@@ -13,6 +13,8 @@ from holoalg.errors import (
     NotNilpotent,
     OutsideScalarDomain,
 )
+from holoalg import series as series_module
+from holoalg.algebra import _batch_norm
 from holoalg.series import BoundaryIndeterminate, Divergent
 
 from conftest import assert_coords
@@ -478,3 +480,48 @@ def test_coefficients_outgrowing_the_estimate_raise(dual, id_dual):
     assert isinstance(s.evaluate(dual.element([0.5, 1.0])), ha.Element)
     with pytest.raises(NoConvergence, match="outgrow the radius estimate"):
         s.evaluate(dual.element([0.95, 1.0]))
+
+
+def full_window_radius(series, kind):
+    """The radius estimate with every column of the window 0..bound normed, as
+    before the norms were restricted to the tail window the estimate reads."""
+    bound = series.rule_bound
+    norms = _batch_norm(series.target, series._window(bound + 1), kind)
+    lo = max(1, bound // 2)
+    return float(1.0 / (norms[lo:] ** (1.0 / np.arange(lo, bound + 1))).max())
+
+
+def test_radius_norms_only_the_tail_window(id_dual):
+    rng = np.random.default_rng(23)
+    algebra = random_basis_sum(rng, FACTORS["t3"], FACTORS["dual"], FACTORS["C"])
+    phi = ha.identity_morphism(algebra)
+    unit = algebra.unit()
+    exp = ha.PowerSeries.from_rule(phi, algebra.zero(),
+                                   lambda k: math.exp(k * math.log(3.0) - math.lgamma(k + 1))
+                                   * unit)
+    for series in (ha.geometric_series(id_dual), ha.geometric_series(phi), exp):
+        assert series.radius() == full_window_radius(series, "frobenius")
+        assert series._radius_estimate("operator") == full_window_radius(series, "operator")
+    normed = []
+    batch_norm = series_module._batch_norm
+    counted = ha.geometric_series(phi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_module, "_batch_norm",
+                   lambda a, x, kind="frobenius": normed.append(x.shape[1]) or batch_norm(a, x, kind))
+        counted.radius()
+    assert normed == [101, 101]   # columns 100..200, for each of the two norms
+
+
+@pytest.mark.parametrize("make", ["rule series", "canonical form"])
+def test_rule_sums_refuse_stacks(dual, id_dual, make):
+    f = (ha.geometric_series(id_dual) if make == "rule series"
+         else ha.canonical_form(exp_scalar_series(dual), id_dual))
+    stack = ha.Element(dual, np.array([[0.1, 0.2], [0.3, 0.4]]))
+    method = "PowerSeries.evaluate" if make == "rule series" else "CanonicalForm.evaluate"
+    with pytest.raises(ValueError, match=method):
+        f.evaluate(stack)
+    # so their samplers loop over the columns
+    sampler = f.sampler()
+    got = sampler.values(stack.coords)
+    want = np.column_stack([f.evaluate(dual.element(x)).coords for x in stack.coords.T])
+    assert np.array_equal(got, want) and sampler._stacked is False
