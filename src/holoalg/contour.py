@@ -1,23 +1,22 @@
 """Algebra-valued contour integration, winding data, and Cauchy formulas.
 
 Paths are piecewise-C1 with closed-form kinds (circles and polylines carry
-exact derivatives); user-sampled paths are accepted as dense polylines when
-flagged smooth.  All contour integrals go through one integrator, refined
-breadth first over every segment of every path of a cycle, so that each
-level samples the integrand once at the new nodes of all unconverged
-segments, with one geometry call per segment kind.  The rule is chosen by
-segment kind.  A circle, on which the integrand is periodic in t, takes the
-periodic trapezoid rule over one turn with nested node doubling from 32
-nodes; it passes when two successive estimates agree to the absolute
-per-coordinate tolerance (default 1e-10, overridable through HOLOALG_TOL),
-within 16 * QUAD_MAX_PANELS nodes.  A line segment takes composite
-Gauss-Legendre of order 16 with interval halving; a panel passes at the
+exact derivatives and arc lengths); user-sampled paths are accepted as dense
+polylines when flagged smooth.  All contour integrals go through one
+integrator, refined breadth first over every segment of every path of a
+cycle: each level samples the integrand once at the new nodes of all
+unconverged segments, with one geometry call per segment kind.  A circle
+takes the periodic trapezoid rule over one turn, doubling its nodes from 32
+until two estimates agree to the absolute per-coordinate tolerance (default
+1e-10, or HOLOALG_TOL), within 160,000 nodes.  A line segment takes panels
+of the nested Gauss-Kronrod pair G10/K21, each evaluated once and split in
+two until QUADPACK's scaled Kronrod-Gauss error estimate is below the
 tolerance halved per level, within QUAD_MAX_PANELS panels.  QUAD_MAX_DEPTH
 levels bound both.  The generalized index is computed two independent ways:
 winding numbers of the spectral projections, exact because each path kind
 projects to a segment or a circle in C, and direct quadrature of the
-reproducing kernel, inverted at the nodes by the local expansion of 1/s;
-the two must agree to 1e-8 on admissible points.
+reproducing kernel, inverted at the nodes by the local expansion of 1/s; the
+two must agree to 1e-8 on admissible points.
 """
 
 from __future__ import annotations
@@ -51,23 +50,27 @@ from .series import PowerSeries
 ENDPOINT_TOL = 1e-12
 ADMISSIBILITY_RESOLUTION = 1e-4   # forbidden band, as a share of the projected length
 QUAD_MAX_DEPTH = 20
-QUAD_MAX_PANELS = 10_000   # panels an integral may take on a line; 16x as many nodes on a circle
+QUAD_MAX_PANELS = 10_000   # panels of a line segment; a circle may take 160,000 nodes
 # entries of the (nodes, m, m) stacks one integrand call may build: larger
 # levels are evaluated in blocks, so memory does not grow with the segments
 QUAD_BLOCK_ENTRIES = 1 << 14
 
-# Gauss-Legendre of order 16 on [-1, 1]: numpy.polynomial.legendre.leggauss(16),
-# written out so that importing the module does not import numpy.polynomial
-_GL_NODES = np.array([
-    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
-    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
-    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
-    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499])
-_GL_WEIGHTS = np.array([
-    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
-    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
-    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
-    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176])
+# The nested Gauss-Kronrod pair G10/K21 on [-1, 1] (QUADPACK's qk21), written
+# out so that importing the module does not import numpy.polynomial: the nodes
+# up to 0, their K21 weights, and the G10 weights of the odd-numbered nodes.
+_GK_NODES = np.array([
+    -0.9956571630258081, -0.9739065285171717, -0.9301574913557082, -0.8650633666889845,
+    -0.7808177265864169, -0.6794095682990244, -0.5627571346686047, -0.4333953941292472,
+    -0.2943928627014602, -0.14887433898163122, 0.0])
+_K_WEIGHTS = np.array([
+    0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+    0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+    0.14277593857706009, 0.14773910490133849, 0.1494455540029169])
+_G_WEIGHTS = np.array([0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+                       0.26926671930999635, 0.29552422471475287])
+_GK_NODES = np.concatenate([_GK_NODES, -_GK_NODES[-2::-1]])
+_K_WEIGHTS = np.concatenate([_K_WEIGHTS, _K_WEIGHTS[-2::-1]])
+_G_WEIGHTS = np.concatenate([_G_WEIGHTS, _G_WEIGHTS[::-1]])
 
 
 def quad_tolerance(tol: float | None = None) -> float:
@@ -244,163 +247,159 @@ def as_cycle(obj) -> Cycle:
 # quadrature
 # ---------------------------------------------------------------------------
 
-def _quadrature(terms, phi: Morphism, integrand, tol: float | None,
-                speed_kind: str = "frobenius") -> tuple[np.ndarray, float]:
+def _quadrature(terms, phi: Morphism, integrand, tol: float | None) -> np.ndarray:
     """Integrals over every segment of every (mult, path) term, breadth first.
 
-    A circle segment, whose integrand is periodic and analytic in t, takes
-    the periodic trapezoid rule over one of its turns (the integrand has
-    period 1 / |turns|): T_32 on the nodes j/32 of the turn, then each level
-    adds the N nodes halfway between the N it has, T_2N = (T_N + mean of the
-    new samples) / 2, until max |T_2N - T_N| < tol, within 16 *
-    QUAD_MAX_PANELS nodes.  The estimate cannot see Fourier modes of the
-    integrand at multiples of 2N: an integrand whose modes are all multiples
-    of 64 (1 + Z^64 about 0) stops on a wrong value.  A line segment takes
-    GL16 with interval halving: a panel passes when its two halves agree with
-    it to tol / 2**depth, within QUAD_MAX_PANELS panels.  Each level samples
-    the integrand once at the new nodes of every unconverged segment, in
-    blocks of at most QUAD_BLOCK_ENTRIES matrix entries.
+    A circle, whose integrand is periodic (period 1 / |turns| in t) and
+    analytic, takes the periodic trapezoid rule over one turn: T_32, then each
+    level adds the N midpoints, T_2N = (T_N + mean of the new samples) / 2,
+    until max |T_2N - T_N| < tol, within 160,000 nodes (16 * QUAD_MAX_PANELS).
+    It cannot see Fourier modes at multiples of 2N: 1 + Z^64 about 0 stops on
+    a wrong value.  A line segment takes G10/K21 panels from [0, 1], each
+    evaluated once: a panel at depth d keeps K21 when QUADPACK's scaled
+    estimate D min(1, (200 |K21 - G10| / D)^1.5), D the K21 rule applied to
+    |f - mean of f|, is below tol / 2**d in every coordinate, and is split in
+    two otherwise, within QUAD_MAX_PANELS panels a segment.  Each level
+    samples the integrand once at the new nodes of every unconverged segment,
+    in blocks of whole panels and runs of 16 circle nodes with at most
+    QUAD_BLOCK_ENTRIES matrix entries.
 
     ``integrand(points, velocities)`` maps the (n, T) source nodes and their
     (m, T) pushed velocities phi(gamma') to ``(values, sizes)``: a (B, m, T)
     stack of integrands and the (B, T) norms of the factors multiplying the
-    velocity; ``None`` integrates only the speed.  Returns the (B, m)
-    integrals, weighted by multiplicity, and the ``speed_kind`` arc length,
-    weighted by its absolute value.  Each integral over each path is checked
-    against ||integral|| <= sup ||size|| * arc on that path (Frobenius norms),
-    the sup taken over every node evaluated.
+    velocity.  Returns the (B, m) integrals, weighted by multiplicity, each
+    checked per path against ||integral|| <= sup ||size|| * arc (Frobenius
+    norms, arcs by :func:`_arcs`, the sup over every node evaluated).
     """
     tol = quad_tolerance(tol)
     tgt = phi.target
-    segs, owner, labels = [], [], []
-    for p, (_, path) in enumerate(terms):
+    for _, path in terms:
         path.require_smooth()
-        for k, seg in enumerate(path.segments):
-            segs.append(seg)
-            owner.append(p)
-            labels.append(f"path {p} segment {k}")
-    owner = np.array(owner)
-    mults = np.array([mult for mult, _ in terms], dtype=float)
+    segs = [seg for _, path in terms for seg in path.segments]
+    owner = np.repeat(np.arange(len(terms)), [len(path.segments) for _, path in terms])
     is_circle = np.array([isinstance(seg, CircleSegment) for seg in segs])
-    # the integrand has period 1 / |turns| in t, so a circle samples one turn
-    span = np.array([1 / max(abs(seg.turns), 1) if circle else 1.0
-                     for seg, circle in zip(segs, is_circle)])
-    # each kind as one stacked segment with a row per segment, and each
-    # segment's row in it: a level makes one geometry call per kind
+    # each kind stacked, a row per segment: one geometry call per kind and block
     stacked = {kind: _stack(segs, kind) for kind in (LineSegment, CircleSegment)}
     row = np.where(is_circle, np.cumsum(is_circle), np.cumsum(~is_circle)) - 1
-    sizes_seen = []   # (path of each run, (B, runs) largest size) per integrand call
-    run = len(_GL_NODES)   # nodes of a panel
-    # a circle starts at 32 nodes, so its first comparison is T_64 against
-    # T_32: T_16 = T_32 whenever the integrand's modes are multiples of 32
-    # (Z^32 about 0)
-    first = 2 * run
-    block = max(1, QUAD_BLOCK_ENTRIES // (run * tgt.dim ** 2))
+    span = np.ones(len(segs))   # a circle samples one turn: the integrand has period 1 / |turns|
+    if is_circle.any():
+        span[is_circle] = 1 / np.maximum(np.abs(stacked[CircleSegment].turns), 1)
+    cap = QUAD_BLOCK_ENTRIES // tgt.dim ** 2   # nodes one integrand call may take
+    sup = total = None   # (paths, B) largest sizes, (paths, rows) integrals
 
-    def runs(idx, ts, ws):
-        """Weighted row sums, one per run of 16 nodes: segment idx[r] at ts[r]
-        with weights ws[r] (line runs first, as ``level`` lays them out)."""
-        if len(idx) > block:
-            return np.concatenate([runs(idx[i:i + block], ts[i:i + block], ws[i:i + block])
-                                   for i in range(0, len(idx), block)])
-        nodes, ts = np.repeat(idx, run), ts.ravel()
-        cut = run * int(np.count_nonzero(~is_circle[idx]))
+    def sample(line_nodes, line_ts, circle_nodes, circle_ts):
+        """The (rows, T) integrand at ts[t] on segment nodes[t], lines first."""
+        nonlocal sup, total
         pts, vel = [], []
-        for kind, part in ((LineSegment, slice(None, cut)), (CircleSegment, slice(cut, None))):
-            if len(nodes[part]):
-                seg = _rows(stacked[kind], row[nodes[part]])
-                pts.append(seg.points(ts[part]))
-                vel.append(seg.velocities(ts[part]))
-        vel = phi.matrix @ np.concatenate(vel, axis=1)
-        rows = _batch_norm(tgt, vel, speed_kind)[None]
-        if integrand is not None:
-            values, sizes = integrand(np.concatenate(pts, axis=1), vel)
-            sizes_seen.append((owner[idx], sizes.reshape(len(sizes), len(idx), run).max(axis=2)))
-            rows = np.concatenate([values.reshape(-1, vel.shape[1]), rows])
-        return np.einsum("rpj,pj->pr", rows.reshape(len(rows), len(idx), run), ws)
+        for kind, nodes, ts in ((LineSegment, line_nodes, line_ts),
+                                (CircleSegment, circle_nodes, circle_ts)):
+            if len(nodes):
+                seg = _rows(stacked[kind], row[nodes])
+                pts.append(seg.points(ts))
+                vel.append(seg.velocities(ts))
+        values, sizes = integrand(np.concatenate(pts, axis=1),
+                                  phi.matrix @ np.concatenate(vel, axis=1))
+        if sup is None:
+            sup = np.zeros((len(terms), len(sizes)))
+            total = np.zeros((len(terms), len(sizes) * tgt.dim), dtype=complex)
+        np.maximum.at(sup, owner[np.concatenate([line_nodes, circle_nodes])], sizes.T)
+        return values.reshape(len(sizes) * tgt.dim, -1)
 
-    def level(idx, a, b, circ, n, offset):
-        """One pass: GL16 sums over the panels [a, b] of the lines idx, and the
-        mean of the rows at the n nodes (j + offset) / n of one turn of each
-        circle in circ."""
-        k = n // run
-        parts = []
-        if len(idx):
-            h = 0.5 * (b - a)[:, None]
-            parts.append((idx, h * _GL_NODES + (a[:, None] + h), h * _GL_WEIGHTS))
-        if len(circ):
-            ts = ((np.arange(n) + offset) / n).reshape(k, run)
-            ts = np.repeat(span[circ], k)[:, None] * np.tile(ts, (len(circ), 1))
-            parts.append((np.repeat(circ, k), ts, np.full((len(circ) * k, run), 1 / n)))
-        sums = runs(*(np.concatenate(x) for x in zip(*parts)))
-        means = sums[len(idx):].reshape(len(circ), k, sums.shape[1]).sum(axis=1)
-        return sums[:len(idx)], means
+    def level(idx, a, h, circ, n, offset):
+        """Per block, unscaled K21, G10 and D on the panels [a, a + 2h] of the
+        lines idx, as (3, rows, panels) arrays, and the row sums over each run
+        of 16 of the n nodes (j + offset) / n of one turn of each circle in
+        circ.  A kind with no segments has empty (segment, t) node arrays."""
+        lines = (np.repeat(idx, 21), (a[:, None] + h * (_GK_NODES + 1)).ravel()) \
+            if len(idx) else (idx, idx)
+        circles = (np.repeat(circ, n), np.outer(span[circ], (np.arange(n) + offset) / n).ravel()) \
+            if len(circ) else (circ, circ)
+        panels, runs = len(idx), len(circ) * n // 16
+        p, c, line_sums, run_sums = 0, 0, [], []
+        while p < panels or c < runs:   # blocks of whole panels, then of 16 circle nodes
+            dp = min(panels - p, max(cap // 21, 1))
+            dc = min(runs - c, max((cap - 21 * dp) // 16, 0 if dp else 1)) \
+                if p + dp == panels else 0
+            values = sample(*(x[21 * p:21 * (p + dp)] for x in lines),
+                            *(x[16 * c:16 * (c + dc)] for x in circles))
+            if dp:
+                lv = values[:, :21 * dp].reshape(-1, 21)
+                k21 = lv @ _K_WEIGHTS
+                line_sums.append(np.array([k21, lv[:, 1::2] @ _G_WEIGHTS,
+                                           np.abs(lv - 0.5 * k21[:, None]) @ _K_WEIGHTS])
+                                 .reshape(3, len(values), dp))
+            if dc:
+                run_sums.append(values[:, 21 * dp:].reshape(len(values), dc, 16).sum(axis=2))
+            p, c = p + dp, c + dc
+        return line_sums, run_sums
 
-    def where(seg, lo, hi):
-        return f"{labels[seg]}, t in [{lo:.17g}, {hi:.17g}]"
+    def label(seg, lo=None, width=None):
+        first = np.flatnonzero(owner == owner[seg])[0]
+        return f"path {owner[seg]} segment {seg - first}" + (
+            "" if lo is None else f", t in [{lo:.17g}, {lo + width:.17g}]")
 
     idx, circ = np.flatnonzero(~is_circle), np.flatnonzero(is_circle)
-    a, b = np.zeros(len(idx)), np.ones(len(idx))
-    whole, trap = level(idx, a, b, circ, first, 0.0)
-    used = np.ones(len(segs), dtype=int)
-    seg_total = np.zeros((len(segs), whole.shape[1]), dtype=complex)
+    a = np.zeros(len(idx))   # left ends of the line panels, of width 2**-depth
+    used = np.ones(len(segs), dtype=int)   # line panels evaluated, per segment
     exhausted = f"refinement exhausted depth {QUAD_MAX_DEPTH} at"
-    for depth in range(QUAD_MAX_DEPTH + 1):
-        n = first << depth   # nodes each unconverged circle has, and adds now
-        if len(idx):
-            used += 2 * np.bincount(idx, minlength=len(segs))
-            if used.max() > QUAD_MAX_PANELS:
-                s = int(np.argmax(used))
-                raise QuadratureNoConvergence(
-                    f"panel budget {QUAD_MAX_PANELS} of a segment exhausted at depth {depth}, "
-                    f"unconverged at {where(s, a[idx == s].min(), b[idx == s].max())}")
-            mid = 0.5 * (a + b)
-            idx, a, b = (np.repeat(idx, 2), np.column_stack([a, mid]).ravel(),
-                         np.column_stack([mid, b]).ravel())
-        if len(circ) and 2 * n > run * QUAD_MAX_PANELS:
+    for depth in range(QUAD_MAX_DEPTH + 2):
+        n, width = 16 << max(depth, 1), 0.5 ** depth   # n: nodes each circle adds now
+        if depth and len(circ) and 2 * n > 16 * QUAD_MAX_PANELS:
             raise QuadratureNoConvergence(
-                f"node budget {run * QUAD_MAX_PANELS} of a circle exhausted at depth {depth}, "
-                f"unconverged at {labels[circ[0]]} after {n} nodes")
-        halves, new = level(idx, a, b, circ, n, 0.5)
+                f"node budget {16 * QUAD_MAX_PANELS} of a circle exhausted at depth {depth - 1}, "
+                f"unconverged at {label(circ[0])} after {n} nodes")
+        line_sums, run_sums = level(idx, a, width / 2, circ, n, 0.5 if depth else 0.0)
         if len(idx):
-            pair = halves[0::2] + halves[1::2]
-            err = np.abs(pair - whole).max(axis=1)
-            done = err < tol / 2 ** depth
+            k21, g10, dev = width / 2 * np.concatenate(line_sums, axis=2)
+            ratio = 200 * np.abs(k21 - g10) / np.where(dev > 0, dev, 1.0)
+            err = (dev * np.minimum(1.0, ratio ** 1.5)).max(axis=0)
+            done = err < tol * width
             if depth == QUAD_MAX_DEPTH and not done.all():
-                w = 2 * int(np.argmax(err))
-                raise QuadratureNoConvergence(f"{exhausted} {where(idx[w], a[w], b[w + 1])}")
-            np.add.at(seg_total, idx[0::2][done], pair[done])
-            keep = np.repeat(~done, 2)
-            idx, a, b, whole = idx[keep], a[keep], b[keep], halves[keep]
-        if len(circ):
-            doubled = 0.5 * (trap + new)
-            done = np.abs(doubled - trap).max(axis=1) < tol
-            if depth == QUAD_MAX_DEPTH and not done.all():
+                w = int(np.argmax(err))
+                raise QuadratureNoConvergence(f"{exhausted} {label(idx[w], a[w], width)}")
+            np.add.at(total, owner[idx[done]], k21[:, done].T)
+            used += 2 * np.bincount(idx[~done], minlength=len(segs))
+            if used.max() > QUAD_MAX_PANELS:   # for the halves of the panels that failed
+                s = int(np.argmax(used))
+                w = int(np.argmax(np.where(idx == s, err, -np.inf)))
                 raise QuadratureNoConvergence(
-                    f"{exhausted} {labels[circ[~done][0]]} after {2 * n} nodes")
-            seg_total[circ[done]] = doubled[done]
-            circ, trap = circ[~done], doubled[~done]
+                    f"panel budget {QUAD_MAX_PANELS} of a segment exhausted at depth "
+                    f"{depth + 1}, unconverged at {label(s, a[w], width)}")
+            idx, a = np.repeat(idx[~done], 2), (a[~done, None] + [0, width / 2]).ravel()
+        if len(circ):   # T_32 first (T_16 = T_32 on Z^32), then T_2N against T_N, N = 16 << depth
+            new = np.concatenate(run_sums, axis=1).reshape(-1, len(circ), n // 16).sum(axis=2) / n
+            if depth:
+                doubled = 0.5 * (trap + new)
+                done = np.abs(doubled - trap).max(axis=0) < tol
+                if depth > QUAD_MAX_DEPTH and not done.all():
+                    raise QuadratureNoConvergence(
+                        f"{exhausted} {label(circ[~done][0])} after {2 * n} nodes")
+                np.add.at(total, owner[circ[done]], doubled[:, done].T)
+                circ, new = circ[~done], doubled[:, ~done]
+            trap = new
         if not len(idx) and not len(circ):
             break
 
-    total = np.zeros((len(terms), seg_total.shape[1]), dtype=complex)
-    np.add.at(total, owner, seg_total)
+    arcs = np.bincount(np.concatenate([owner[~is_circle], owner[is_circle]]),
+                       weights=_arcs(stacked.values(), phi), minlength=len(terms))
+    bounds = sup * arcs[:, None]
+    norms = _batch_norm(tgt, total.reshape(-1, tgt.dim).T).reshape(bounds.shape)
+    for p, i in np.argwhere(norms > bounds * (1 + 1e-6) + 1e-9):
+        raise EstimateViolated(
+            f"quadrature result {i} on path {p} violates the norm estimate "
+            f"({norms[p, i]:.3e} > {bounds[p, i]:.3e}); integrand is likely "
+            "discontinuous on the path")
+    return (np.array([mult for mult, _ in terms], dtype=float) @ total).reshape(-1, tgt.dim)
 
-    per_path = total[:, :-1].reshape(len(terms), -1, tgt.dim)
-    arcs = total[:, -1].real
-    if per_path.shape[1]:
-        sup = np.zeros((len(terms), per_path.shape[1]))
-        for run_owner, sizes in sizes_seen:
-            np.maximum.at(sup, run_owner, sizes.T)
-        bounds = sup * arcs[:, None]
-        norms = _batch_norm(tgt, per_path.reshape(-1, tgt.dim).T).reshape(bounds.shape)
-        for p, i in np.argwhere(norms > bounds * (1 + 1e-6) + 1e-9):
-            raise EstimateViolated(
-                f"quadrature result {i} on path {p} violates the norm estimate "
-                f"({norms[p, i]:.3e} > {bounds[p, i]:.3e}); integrand is likely "
-                "discontinuous on the path")
-    weighted = (mults @ per_path.reshape(len(terms), -1)).reshape(-1, tgt.dim)
-    return weighted, float(np.abs(mults) @ arcs)
+
+def _arcs(stacks, phi: Morphism, norm_kind: str = "frobenius") -> np.ndarray:
+    """The lengths of the pushed segments of the stacked segments (None for
+    none), in order, in closed form.  Both kinds have constant speed and both
+    norms are absolutely homogeneous, so a segment's is ||phi(gamma'(0))||:
+    ||phi(end - start)|| on a line, 2 pi |radius turns| ||phi(direction)|| on a circle."""
+    vel = [seg.velocities(np.zeros(len(getattr(seg, fields(seg)[1].name))))
+           for seg in stacks if seg is not None]
+    return _batch_norm(phi.target, phi.matrix @ np.concatenate(vel, axis=1), norm_kind)
 
 
 def _stack(segs, kind: type):
@@ -421,19 +420,20 @@ def _sampled(f, source: Algebra, target: Algebra) -> FunctionSampler:
     return f if isinstance(f, FunctionSampler) else FunctionSampler(f, source, target)
 
 
-def length(path: Path, phi: Morphism, norm_kind: str = "frobenius",
-           tol: float | None = None) -> float:
-    """Arc length of the pushed path: integral of ||phi(gamma'(t))||."""
-    return _quadrature(((1, path),), phi, None, tol, norm_kind)[1]
+def length(path: Path, phi: Morphism, norm_kind: str = "frobenius") -> float:
+    """Arc length of the pushed path, the integral of ||phi(gamma'(t))||, as a
+    sum of the segments' closed forms (see :func:`_arcs`)."""
+    path.require_smooth()
+    return float(_arcs((_stack(path.segments, kind) for kind in (LineSegment, CircleSegment)),
+                       phi, norm_kind).sum())
 
 
 def integrate(f, path: Path, phi: Morphism, tol: float | None = None) -> Element:
     """Contour integral of f(Z) dZ, i.e. integral of f(gamma(t)) phi(gamma'(t)) dt.
 
-    The trapezoid rule on circles and Gauss-Legendre (order 16) on line
-    segments, to the given per-coordinate absolute tolerance (see
-    :func:`_quadrature`).  The submultiplicative estimate
-    ||integral|| <= sup ||f|| * L is verified on the computed result.
+    The trapezoid rule on circles and G10/K21 Gauss-Kronrod panels on line
+    segments, to the given per-coordinate absolute tolerance, with the
+    estimate ||integral|| <= sup ||f|| * L verified (see :func:`_quadrature`).
     """
     return _integrate_terms(f, ((1, path),), phi, tol)
 
@@ -450,7 +450,7 @@ def _integrate_terms(f, terms, phi: Morphism, tol: float | None) -> Element:
         fv = sampler.values(pts)
         return _batch_mul(tgt, fv, vel)[None], _batch_norm(tgt, fv)[None]
 
-    return tgt.element(_quadrature(terms, phi, integrand, tol)[0][0])
+    return tgt.element(_quadrature(terms, phi, integrand, tol)[0])
 
 
 def _batch_inv(dec: Decomposition, w: np.ndarray) -> np.ndarray:
@@ -489,7 +489,7 @@ def _cauchy_kernel_integral(cycle: Cycle, Z0: Element, phi: Morphism, powers: Se
         return (values.reshape(tgt.dim, len(powers), -1).transpose(1, 0, 2),
                 _batch_norm(tgt, kernels).reshape(len(powers), -1))
 
-    return _quadrature(cycle.terms, phi, integrand, tol)[0]
+    return _quadrature(cycle.terms, phi, integrand, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -312,20 +312,12 @@ def _profile(algebra: Algebra, dec: Decomposition) -> Profile:
         dims = [layer.shape[1] for layer in layers]
         widths = tuple(dims[i] - dims[i + 1] for i in range(height - 1))
 
-        # Extend a basis of m^(i+1) to m^i, walking from the deepest layer out,
-        # so the columns come out in decreasing ideal-power order (unit last).
-        chosen: list[np.ndarray] = []
-        for i in range(height - 2, -1, -1):
-            layer = layers[i]
-            for j in range(layer.shape[1]):
-                v = layer[:, j]
-                if chosen:
-                    frame = np.column_stack(chosen)
-                    v = v - frame @ (frame.conj().T @ v)
-                if np.linalg.norm(v) > NIL_RANK_TOL:
-                    chosen.append(v / np.linalg.norm(v))
-        chosen.append(dec.idempotents[k].coords)
-        comps.append(ComponentProfile(height, widths, _frozen(np.column_stack(chosen))))
+        # The complement of m^(i+1) in m^i, deepest first (unit last): layer i
+        # projected off layer i + 1, and as many left singular vectors as its width.
+        blocks = [np.linalg.svd(lo - hi @ (hi.conj().T @ lo), full_matrices=False)[0][:, :w]
+                  for lo, hi, w in zip(layers, layers[1:], widths)]
+        basis = np.column_stack(blocks[::-1] + [dec.idempotents[k].coords])
+        comps.append(ComponentProfile(height, widths, _frozen(basis)))
     return Profile(tuple(comps))
 
 

@@ -91,6 +91,29 @@ def test_rule_series_and_plain_samplers_loop(dual, id_dual):
     assert np.abs(square.values(X) - want).max() <= 1e-15 and square._stacked
 
 
+def test_a_series_keeps_one_sampler(dual, id_dual, monkeypatch):
+    # the first stacked call of a sampler is checked, a polynomial's against
+    # two scalar calls; a series or a canonical form keeps one sampler, so it
+    # pays that once, not once per sampler() call
+    X = np.array([[0.5, 0.3j, 0.1], [0.25, 2.0, -0.3j]])
+    checks, stacked_calls = [], []
+    agrees, evaluate = ha.FunctionSampler._agrees, ha.CanonicalForm.evaluate
+    monkeypatch.setattr(ha.FunctionSampler, "_agrees",
+                        lambda self, out, coords: checks.append(self) or agrees(self, out, coords))
+    monkeypatch.setattr(ha.CanonicalForm, "evaluate",
+                        lambda self, Z: stacked_calls.append(Z.coords.ndim == 2) or evaluate(self, Z))
+    P = ha.PowerSeries.polynomial(id_dual, dual.zero(), [dual.unit(), dual.element([0, 1])])
+    form = ha.canonical_form(ha.ScalarSeries(dual, 0.0, coeffs=[dual.zero(), dual.unit()]),
+                             id_dual)
+    for f in (P, form):
+        assert f.sampler() is f.sampler()
+        for _ in range(3):
+            f.sampler().values(X)
+    assert checks == [P.sampler()] and P.sampler()._stacked
+    # the form refuses stacks: one stacked attempt, then the column loop
+    assert sum(stacked_calls) == 1 and form.sampler()._stacked is False
+
+
 def test_batch_failures_become_sampler_failures(dual):
     # a callable that fails at one point fails the stacked attempt and the loop
     def broken(Z):
@@ -240,22 +263,37 @@ def test_plain_callable_matches_the_batched_sampler(dual, id_dual, cubic):
 
 
 # Nodes at which the integrand is evaluated, per integral, for
-# Z0 = 0.3 + 0.2 eps.  The line rows were recorded from the depth-first
-# integrator this one replaced, which accepted exactly the same panels; the
-# circle row counts the trapezoid levels 32 + 32, the least a circle takes.
+# Z0 = 0.3 + 0.2 eps.  A line panel takes the 21 nodes of G10/K21: on the
+# square the cubic passes on one panel a side, the Cauchy integrands on three
+# (seven on one side for the second derivative), and on the 128-gon every
+# integrand passes on one panel a segment.  The circle row counts the
+# trapezoid levels 32 + 32, the least a circle takes.
 EXPECTED_NODES = {
     "circle": {"index": 64, "cif": 64, "derivative": 64, "integrate": 64},
-    "square": {"index": 256, "cif": 256, "derivative": 384, "integrate": 192},
-    "ellipse": {"index": 6144, "cif": 6144, "derivative": 6144, "integrate": 6144},
+    "square": {"index": 252, "cif": 252, "derivative": 336, "integrate": 84},
+    "ellipse": {"index": 2688, "cif": 2688, "derivative": 2688, "integrate": 2688},
 }
 
 
-def test_gauss_legendre_constants_are_leggauss_16():
-    # written out to keep numpy.polynomial out of the import; any change of a
-    # bit would move the node counts below
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    assert np.array_equal(contour._GL_NODES, nodes)
-    assert np.array_equal(contour._GL_WEIGHTS, weights)
+def monomial_errors(nodes, weights, degrees):
+    """|rule - exact| for x^k on [-1, 1], k in degrees."""
+    return np.array([abs(weights @ nodes ** k - (2 / (k + 1) if k % 2 == 0 else 0))
+                     for k in degrees])
+
+
+def test_kronrod_constants_are_exact_to_their_degrees():
+    # written out to keep numpy.polynomial out of the import; K21 integrates
+    # polynomials of degree 3 * 10 + 1 exactly, its embedded G10 degree 2 * 10 - 1
+    nodes, k21, g10 = contour._GK_NODES, contour._K_WEIGHTS, contour._G_WEIGHTS
+    assert np.array_equal(nodes, -nodes[::-1]) and np.all(np.diff(nodes) > 0)
+    assert monomial_errors(nodes, k21, range(32)).max() < 1e-15
+    assert monomial_errors(nodes[1::2], g10, range(20)).max() < 1e-15
+    # one degree past each, the rules are no longer exact
+    assert monomial_errors(nodes, k21, [32])[0] > 1e-12
+    assert monomial_errors(nodes[1::2], g10, [20])[0] > 1e-12
+    gauss, weights = np.polynomial.legendre.leggauss(10)
+    assert np.abs(nodes[1::2] - gauss).max() <= 1e-15
+    assert np.abs(g10 - weights).max() <= 1e-15
 
 
 def test_node_counts_unchanged(dual, id_dual, cubic, monkeypatch):
@@ -308,13 +346,14 @@ def test_cycle_integral_is_one_pass(dual, id_dual, cubic):
 
 
 def test_panel_budget_names_the_segment(dual, id_dual, monkeypatch):
-    # the jump at t = 0.3 keeps one panel unconverged per level: 3 + 4 per level
-    monkeypatch.setattr(contour, "QUAD_MAX_PANELS", 20)
+    # the jump at t = 0.3 keeps one panel unconverged per level: segment 1
+    # takes 1 panel at depth 0 and 2 at each depth after, 11 by depth 5
+    monkeypatch.setattr(contour, "QUAD_MAX_PANELS", 10)
     f = ha.FunctionSampler(lambda Z: dual.unit() if Z.coords[0].real > 0.30000001
                            else dual.zero(), dual, dual)
     path = ha.Path.polyline([dual.scalar(-1.0), dual.zero(), dual.unit()])
     with pytest.raises(QuadratureNoConvergence,
-                       match=r"panel budget 20 of a segment exhausted at depth 5, "
+                       match=r"panel budget 10 of a segment exhausted at depth 5, "
                              r"unconverged at path 0 segment 1, t in \[0\.25, 0\.3125\]"):
         ha.integrate(f, path, id_dual, tol=1e-13)
 
@@ -345,11 +384,27 @@ def test_large_levels_are_evaluated_in_blocks(dual, id_dual, cubic, monkeypatch)
     f = counting(cubic.sampler(), seen)
     whole = ha.integrate(f, sampled_ellipse(dual), id_dual)
     calls = len(seen)
-    monkeypatch.setattr(contour, "QUAD_BLOCK_ENTRIES", 16 * 4 * 8)   # 8 panels per call
+    monkeypatch.setattr(contour, "QUAD_BLOCK_ENTRIES", 16 * 4 * 8)   # 128 nodes per call
     seen.clear()
     blocked = ha.integrate(f, sampled_ellipse(dual), id_dual)
     assert np.abs((whole - blocked).coords).max() < 1e-13
-    assert max(seen) == 8 * 16 and len(seen) > calls
+    # blocks hold whole panels: 6 of 21 nodes
+    assert max(seen) == 6 * 21 and len(seen) > calls
+
+
+def test_a_block_takes_the_last_panels_and_the_first_circle_runs(dual, id_dual, cubic,
+                                                                  monkeypatch):
+    # 100 nodes a call: the square's 4 panels (84 nodes) and one run of 16 of
+    # the circle's 32 share the first call, and the second run takes the next
+    cycle = ha.Cycle(((1, unit_circle(dual)), (-1, square_loop(dual))))
+    seen = []
+    f = counting(cubic.sampler(), seen)
+    whole = ha.integrate_cycle(f, cycle, id_dual)
+    monkeypatch.setattr(contour, "QUAD_BLOCK_ENTRIES", 4 * 100)
+    seen.clear()
+    blocked = ha.integrate_cycle(f, cycle, id_dual)
+    assert np.abs((whole - blocked).coords).max() < 1e-13
+    assert seen[:2] == [100, 16] and max(seen) <= 100
 
 
 # -- the periodic trapezoid rule on circles -------------------------------------------------

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -349,3 +352,17 @@ def test_bad_order_and_seed_are_one_line_errors(files, capsys, monkeypatch, argv
               "index": ["--algebra", files["dual"], "--path", files["circle"],
                         "--point", files["origin"]]}[command]
     assert one_line_error(*run(capsys, command, *inputs, *flags))
+
+
+def test_importing_the_cli_loads_neither_scipy_nor_numpy_polynomial():
+    # numpy is the one runtime dependency, and the quadrature's constants are
+    # written out rather than computed by numpy.polynomial at import (numpy
+    # before 2.0 loads numpy.polynomial itself, so only what holoalg adds counts)
+    src = os.path.dirname(os.path.dirname(ha.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, numpy; before = set(sys.modules); import holoalg.cli; "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

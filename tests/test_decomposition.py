@@ -322,3 +322,28 @@ def test_filtering_basis_depth_order(t3):
     # deepest power (t^2) first, unit last
     assert np.abs(basis[:, 0] - np.array([0, 0, 1]) * basis[2, 0]).max() < 1e-10
     assert_coords(t3.element(basis[:, 2]), [1, 0, 0])
+
+
+def orthonormal_span(vectors):
+    u, s, _ = np.linalg.svd(np.column_stack(vectors), full_matrices=False)
+    return u[:, :int(np.sum(s > 1e-9))]
+
+
+@pytest.mark.parametrize("name", ["t3", "bidual", "random basis"])
+def test_filtering_basis_columns_span_the_ideal_powers(name, t3):
+    algebra = {"t3": t3, "bidual": ha.bidual(),
+               "random basis": random_basis_sum(np.random.default_rng(7), t3, ha.dual_numbers(),
+                                                ha.bidual(), ha.complex_line())}[name]
+    dec = ha.artin_decompose(algebra)
+    for k, comp in enumerate(ha.profile(algebra, dec).components):
+        basis = comp.filtering_basis
+        ideal = [algebra.element(v) for v in dec.maximal_ideal_bases[k].T]
+        power = ideal   # spanning m^i, from the products of i vectors of the ideal
+        for i in range(1, comp.height + 1):
+            span = orthonormal_span([v.coords for v in power] + [np.zeros(algebra.dim)])
+            # the columns of layers i and deeper, sum_{j >= i} d_j of them, come first
+            cols = basis[:, :sum(comp.widths[i - 1:])]
+            assert np.abs(cols.conj().T @ cols - np.eye(cols.shape[1])).max(initial=0) < 1e-10
+            assert span.shape[1] == cols.shape[1]
+            assert np.abs(cols - span @ (span.conj().T @ cols)).max(initial=0) < 1e-10
+            power = [x * y for x in ideal for y in power]

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 import holoalg as ha
 from holoalg.contour import ADMISSIBILITY_RESOLUTION
 
+from test_batched import random_basis_sum
+from test_node_kernels import FACTORS
+
 ALGEBRAS = {
     "split": ha.split_complex(),
     "dual+C": ha.direct_sum(ha.dual_numbers(), ha.complex_line()),
@@ -109,3 +112,41 @@ def test_forbidden_band_is_twice_the_resolution_times_the_length(name):
             assert report.clearances == pytest.approx((factor * threshold,)
                                                       * len(report.clearances))
             assert report.admissible is admissible
+
+
+# -- the line rule on generic algebras --------------------------------------------
+
+def random_polyline(rng, algebra):
+    """A closed polyline: a square, rotated, scaled and moved, with its corners
+    along a random direction (not the unit), or a random closed polygon."""
+    if rng.random() < 0.5:
+        center, direction = algebra.random_element(rng, 0.5), algebra.random_element(rng, 0.3)
+        corner = rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
+        points = [center + (algebra.unit() + direction) * (corner * 1j ** k) for k in range(4)]
+    else:
+        points = [algebra.random_element(rng, 1.5) for _ in range(rng.integers(3, 9))]
+    return ha.Path.polyline(points + points[:1])
+
+
+@st.composite
+def polyline_cycles_and_points(draw):
+    """Cycles of one or two closed polylines over a direct sum of catalog
+    factors (dim at most 7) in a random unitary basis, and a point."""
+    names = draw(st.lists(st.sampled_from(sorted(FACTORS)), min_size=1, max_size=3)
+                 .filter(lambda ns: sum(FACTORS[n].dim for n in ns) <= 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    algebra = random_basis_sum(rng, *(FACTORS[n] for n in names))
+    terms = tuple((draw(st.sampled_from([-2, -1, 1, 2])), random_polyline(rng, algebra))
+                  for _ in range(draw(st.integers(1, 2))))
+    return algebra, ha.Cycle(terms), algebra.random_element(rng, 1.5)
+
+
+@checked
+@given(polyline_cycles_and_points())
+def test_line_rule_index_matches_the_spectral_index(case):
+    algebra, cycle, Z0 = case
+    phi = ha.identity_morphism(algebra)
+    report = ha.admissibility(cycle, Z0, phi)
+    assume(report.admissible and min(report.clearances) > MARGIN)
+    spectral = ha.index_spectral(cycle, Z0, phi)
+    assert (ha.index_quadrature(cycle, Z0, phi) - spectral.element).coord_norm() < 1e-8
