@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     AlgebraMismatch,
-    DecompositionRequired,
     NoUnit,
     NotAssociative,
     NotAUnit,
@@ -75,7 +74,7 @@ class StructureTensor:
 
     def check_commutative(self, tol: float = IDENTITY_TOL) -> None:
         gap = np.abs(self.alpha - self.alpha.transpose(1, 0, 2))
-        if gap.max() > tol:
+        if not gap.max() <= tol:   # a NaN gap (overflow) fails too
             j, k, i = np.unravel_index(int(np.argmax(gap)), gap.shape)
             raise NotCommutative(
                 f"alpha^{i + 1}_{{{j + 1},{k + 1}}} != alpha^{i + 1}_{{{k + 1},{j + 1}}} "
@@ -87,7 +86,7 @@ class StructureTensor:
         lhs = np.einsum("jkr,rli->jkli", self.alpha, self.alpha)
         rhs = np.einsum("klr,jri->jkli", self.alpha, self.alpha)
         gap = np.abs(lhs - rhs)
-        if gap.max() > tol:
+        if not gap.max() <= tol:   # a NaN gap (overflow) fails too
             j, k, l, i = np.unravel_index(int(np.argmax(gap)), gap.shape)
             raise NotAssociative(
                 f"associativity fails at (i,j,k,l)=({i + 1},{j + 1},{k + 1},{l + 1}) "
@@ -107,8 +106,8 @@ class Algebra:
         self.tensor = tensor
         self.unit_coords = _as_complex_vector(unit_coords, tensor.dim)
         self.unit_coords.flags.writeable = False
-        # artin_decompose's results, by seed (see decomposition.artin_decompose)
-        self._decompositions: dict = {}
+        # artin_decompose's result, computed on first use
+        self._decomposition = None
 
     # -- basic data ----------------------------------------------------------
 
@@ -195,7 +194,7 @@ def build_algebra(tensor: StructureTensor) -> Algebra:
     target = np.concatenate([np.eye(n, dtype=complex).reshape(-1)] * 2)
     eps, *_ = np.linalg.lstsq(system, target, rcond=None)
     residual = np.abs(system @ eps - target).max()
-    if residual > UNIT_RESIDUAL_TOL:
+    if not residual <= UNIT_RESIDUAL_TOL:
         raise NoUnit(f"unit-law system inconsistent (residual {residual:.3e})")
     return Algebra(tensor, eps)
 
@@ -336,9 +335,9 @@ class Element:
         """Solve lambda(z) w = 1 for the multiplicative inverse.
 
         Invertibility is decided by the characters, as in the contour kernel
-        (see :func:`_unit_columns`), on the algebra's cached decomposition
-        with seed 0, which may raise :class:`ClusteringAmbiguous`; the value
-        comes from the linear solve alone.
+        (see :func:`_unit_columns`), on the algebra's cached decomposition,
+        which may raise :class:`ClusteringAmbiguous`; the value comes from the
+        linear solve alone.
         """
         self._point("Element.invert")
         if not self.is_unit():
@@ -357,13 +356,13 @@ class Element:
         self._point("Element.spectral_radius")
         return float(np.abs(np.linalg.eigvals(self.regular_matrix())).max())
 
-    def norm(self, kind: str = "frobenius", decomposition=None) -> float:
+    def norm(self, kind: str = "frobenius") -> float:
         """Submultiplicative norm of the element; ``kind`` is one of
 
         ``frobenius``  : Frobenius norm of lambda(z), the default;
         ``operator``   : spectral (operator 2-)norm of lambda(z), unital;
         ``direct-sum`` : max over local components of the operator norm of the
-                         component action; needs ``decomposition``.
+                         component action, on the algebra's cached decomposition.
         """
         self._point("Element.norm")
         if kind == "frobenius":
@@ -371,9 +370,8 @@ class Element:
         if kind == "operator":
             return float(np.linalg.norm(self.regular_matrix(), 2))
         if kind == "direct-sum":
-            if decomposition is None:
-                raise DecompositionRequired("direct-sum norm needs a decomposition")
-            return decomposition.direct_sum_norm(self)
+            from .decomposition import artin_decompose   # decomposition imports this module
+            return artin_decompose(self.algebra).direct_sum_norm(self)
         raise ValueError(f"unknown norm kind {kind!r}")
 
     def coord_norm(self) -> float:
@@ -426,8 +424,6 @@ def _batch_norm(algebra: Algebra, x: np.ndarray, kind: str = "frobenius") -> np.
         return np.sqrt(np.maximum(sq, 0.0))
     if kind == "operator":
         return np.linalg.norm(_batch_regular(algebra, x), 2, axis=(1, 2))
-    if kind == "direct-sum":
-        raise DecompositionRequired("direct-sum norm needs a decomposition")
     raise ValueError(f"unknown norm kind {kind!r}")
 
 

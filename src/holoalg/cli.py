@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands: validate, decompose, crgen, check, index, cif, series, invert.
-Every subcommand supports --json (machine-readable report, full doubles) and
---seed (default 0, behind all randomness).  Human mode prints numbers with 12
-significant digits.  Exit codes: 0 success, 2 mathematical validation failure
-(the violated identity is printed), 1 I/O or schema errors.  The environment
-variable HOLOALG_TOL overrides the quadrature tolerance (default 1e-10).
+Every subcommand supports --json (machine-readable report, full doubles).
+Human mode prints numbers with 12 significant digits.  Exit codes: 0
+success, 2 mathematical validation failure (the violated identity is
+printed), 1 I/O or schema errors.  The environment variable HOLOALG_TOL
+overrides the quadrature tolerance (default 1e-10).
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def cmd_validate(args):
 
 def cmd_decompose(args):
     algebra, name = fileio.load_algebra(args.algebra)
-    dec = artin_decompose(algebra, seed=args.seed)
+    dec = artin_decompose(algebra)
     prof = profile(algebra, dec)
     nil = nilradical(algebra)
     report = {
@@ -170,10 +170,10 @@ def cmd_index(args):
     phi, _ = _load_morphism_args(args, algebra)
     cycle = fileio.cycle_from_json(fileio.read_json(args.path), algebra)
     point = fileio.load_element(args.point, algebra)
-    spings = index_spectral(cycle, point, phi, seed=args.seed)
-    dec_b = artin_decompose(phi.target, seed=args.seed)
+    spings = index_spectral(cycle, point, phi)
+    dec_b = artin_decompose(phi.target)
     adm = spings.admissibility
-    quad = index_quadrature(cycle, point, phi, seed=args.seed)
+    quad = index_quadrature(cycle, point, phi)
     quad_components = list(dec_b.spectrum(quad))
     report = {
         "admissible": adm.admissible,
@@ -201,8 +201,8 @@ def cmd_cif(args):
     cycle = fileio.cycle_from_json(fileio.read_json(args.path), algebra)
     point = fileio.load_element(args.point, algebra)
     f = series.sampler()
-    idx = index_spectral(cycle, point, phi, seed=args.seed)
-    integral = cif_derivative(f, cycle, point, args.order, phi, seed=args.seed)
+    idx = index_spectral(cycle, point, phi)
+    integral = cif_derivative(f, cycle, point, args.order, phi)
     report = {
         "order": args.order,
         "index": list(idx.values),
@@ -211,7 +211,7 @@ def cmd_cif(args):
     lines = [f"index = {list(idx.values)}",
              f"(k!/2 pi i) integral = {fmt_el(integral)} (k={args.order})"]
     if all(v != 0 for v in idx.values):
-        solved = integral * _index_inverse(idx, phi.target, args.seed)
+        solved = integral * _index_inverse(idx, phi.target)
         report["value"] = fileio.element_to_json(solved)
         label = "f(Z0)" if args.order == 0 else f"f^({args.order})(Z0)"
         lines.append(f"{label} = {fmt_el(solved)}")
@@ -257,7 +257,7 @@ def cmd_invert(args):
     series = fileio.function_from_json(fileio.read_json(args.function), phi)
     w = fileio.load_element(args.value, algebra)
     guess = fileio.load_element(args.guess, algebra) if args.guess else w
-    z = newton_invert_map(series, w, guess, seed=args.seed)
+    z = newton_invert_map(series, w, guess)
     residual = (series(z) - w).norm("frobenius")
     report = {
         "preimage": fileio.element_to_json(z),
@@ -279,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
 
     p = sub.add_parser("validate", help="validate a structure tensor file")
     p.add_argument("algebra")
@@ -355,8 +354,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed < 0:
-            raise SchemaError(f"--seed must be a non-negative integer, got {args.seed}")
         report, lines = args.handler(args)
     except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

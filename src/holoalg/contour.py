@@ -465,15 +465,15 @@ def _batch_inv(dec: Decomposition, w: np.ndarray) -> np.ndarray:
 
 
 def _cauchy_kernel_integral(cycle: Cycle, Z0: Element, phi: Morphism, powers: Sequence[int],
-                            f=None, tol: float | None = None, seed: int = 0) -> np.ndarray:
+                            f=None, tol: float | None = None) -> np.ndarray:
     """Integrals of f(W) phi(W - Z0)^(-p) dW over the cycle, one row per p in powers.
 
     All powers share the nodes, one kernel inverse and one sample of f (f
     optional) per refinement level; each has its own norm-estimate check.
-    The kernel's unit test uses the target's decomposition with ``seed``.
+    The kernel's unit test uses the target's decomposition.
     """
     tgt = phi.target
-    dec = artin_decompose(tgt, seed=seed)
+    dec = artin_decompose(tgt)
     sampler = None if f is None else _sampled(f, cycle.algebra, tgt)
 
     def integrand(pts, vel):
@@ -508,12 +508,12 @@ class AdmissibilityReport:
     windings: tuple[int, ...]
 
 
-def admissibility(cycle, Z0: Element, phi: Morphism, seed: int = 0) -> AdmissibilityReport:
+def admissibility(cycle, Z0: Element, phi: Morphism) -> AdmissibilityReport:
     """Distance of each active spectral projection of Z0 to the projected cycle.
 
     The active components are the source components tau hits in the
-    canonical factorization of phi, read from the decompositions cached per
-    ``seed`` (ClusteringAmbiguous when an algebra cannot be decomposed).
+    canonical factorization of phi, read from the algebras' cached
+    decompositions (ClusteringAmbiguous when an algebra cannot be decomposed).
     Clearances are exact distances to the projected curves.  The threshold
     of component k is 2 * ADMISSIBILITY_RESOLUTION * L_k, with L_k the
     longest projected length of a path of the cycle; a clearance must exceed
@@ -523,8 +523,8 @@ def admissibility(cycle, Z0: Element, phi: Morphism, seed: int = 0) -> Admissibi
     sigma_k(Z0), meaningful only where the clearance is positive.
     """
     cyc = as_cycle(cycle)
-    dec_source = artin_decompose(phi.source, seed=seed)
-    fact = factor(phi, dec_source, artin_decompose(phi.target, seed=seed))
+    dec_source = artin_decompose(phi.source)
+    fact = factor(phi, dec_source, artin_decompose(phi.target))
     active = fact.active_source_components
     rows = dec_source.spectral_rows[list(active)]
     w0 = rows @ Z0.coords
@@ -582,23 +582,22 @@ def _projection(path: Path, rows: np.ndarray, w0: np.ndarray):
     return np.rint(angle / (2 * math.pi)).astype(int), dist, arc
 
 
-def index_spectral(cycle, Z0: Element, phi: Morphism, seed: int = 0) -> SpectralIndex:
+def index_spectral(cycle, Z0: Element, phi: Morphism) -> SpectralIndex:
     """Index as classical winding numbers of the spectral projections.
 
     Exact integers; the value for target component ell is the winding of
     sigma_{tau(ell)} of the cycle around sigma_{tau(ell)}(Z0), read off one
-    :func:`admissibility` pass with the same ``seed``.  NotAdmissible in the
-    forbidden zone; WindingUnresolved when a clearance is at most
-    ENDPOINT_TOL, which a cycle of zero projected length can leave admissible.
+    :func:`admissibility` pass.  NotAdmissible in the forbidden zone;
+    WindingUnresolved when a clearance is at most ENDPOINT_TOL, which a cycle
+    of zero projected length can leave admissible.
     """
-    report = admissibility(cycle, Z0, phi, seed)
+    report = admissibility(cycle, Z0, phi)
     if not report.admissible:
         raise NotAdmissible(f"point is in the forbidden zone: {report}")
     if min(report.clearances) <= ENDPOINT_TOL:
         raise WindingUnresolved(f"projected point sits on the curve "
                                 f"(distance {min(report.clearances):.2e})")
-    fact = factor(phi, artin_decompose(phi.source, seed=seed),
-                  artin_decompose(phi.target, seed=seed))
+    fact = factor(phi, artin_decompose(phi.source), artin_decompose(phi.target))
     winding = dict(zip(report.active_components, report.windings))
     values = tuple(winding[k] for k in fact.tau)
     idempotents = fact.dec_target.idempotents
@@ -607,15 +606,14 @@ def index_spectral(cycle, Z0: Element, phi: Morphism, seed: int = 0) -> Spectral
 
 
 def index_quadrature(cycle, Z0: Element, phi: Morphism,
-                     tol: float | None = None, seed: int = 0) -> Element:
+                     tol: float | None = None) -> Element:
     """(1 / 2 pi i) times the integral of dZ / phi(Z - Z0) over the cycle.
 
-    The value comes from the quadrature alone.  The target is decomposed
-    with ``seed`` only to certify that phi(W - Z0) is a unit at every node:
-    NotAUnit when it is not, ClusteringAmbiguous when the target cannot be
-    decomposed.
+    The value comes from the quadrature alone.  The target is decomposed only
+    to certify that phi(W - Z0) is a unit at every node: NotAUnit when it is
+    not, ClusteringAmbiguous when the target cannot be decomposed.
     """
-    out = _cauchy_kernel_integral(as_cycle(cycle), Z0, phi, (1,), tol=tol, seed=seed)[0]
+    out = _cauchy_kernel_integral(as_cycle(cycle), Z0, phi, (1,), tol=tol)[0]
     return phi.target.element(out * (1.0 / (2j * math.pi)))
 
 
@@ -636,18 +634,17 @@ def _spot_check_holomorphy(f, cycle: Cycle, phi: Morphism) -> None:
                       stacklevel=3)
 
 
-def _index_inverse(idx: SpectralIndex, target: Algebra, seed: int) -> Element:
-    """sum_l e_l / v_l over the target's idempotents, decomposed with ``seed``;
-    IndexNotInvertible when a component v_l is zero."""
+def _index_inverse(idx: SpectralIndex, target: Algebra) -> Element:
+    """sum_l e_l / v_l over the target's idempotents; IndexNotInvertible when
+    a component v_l is zero."""
     if any(v == 0 for v in idx.values):
         raise IndexNotInvertible(f"index {idx.values} has a zero component")
-    idempotents = artin_decompose(target, seed=seed).idempotents
+    idempotents = artin_decompose(target).idempotents
     return target.element(sum(e.coords / v for v, e in zip(idx.values, idempotents)))
 
 
 def cif_value(f, cycle, Z0: Element, phi: Morphism, tol: float | None = None,
-              solve: bool = False, spot_check: bool = True,
-              seed: int = 0) -> Element:
+              solve: bool = False, spot_check: bool = True) -> Element:
     """(1 / 2 pi i) integral of f(Z) / phi(Z - Z0) dZ over the cycle.
 
     For holomorphic f this equals f(Z0) * Ind(cycle, Z0); with ``solve`` the
@@ -655,7 +652,7 @@ def cif_value(f, cycle, Z0: Element, phi: Morphism, tol: float | None = None,
     component index is zero), returning f(Z0) itself.  This is
     :func:`cif_derivative` of order 0.
     """
-    return cif_derivative(f, cycle, Z0, 0, phi, tol, solve, spot_check, seed)
+    return cif_derivative(f, cycle, Z0, 0, phi, tol, solve, spot_check)
 
 
 def _cif_scale(k: int) -> complex:
@@ -668,15 +665,15 @@ def _cif_scale(k: int) -> complex:
 
 def cif_derivative(f, cycle, Z0: Element, k: int, phi: Morphism,
                    tol: float | None = None, solve: bool = False,
-                   spot_check: bool = True, seed: int = 0) -> Element:
+                   spot_check: bool = True) -> Element:
     """(k! / 2 pi i) integral of f(W) / phi(W - Z0)^(k+1) dW; k = 0 is cif_value.
 
     ValueError before any work unless k >= 0 and k! is a finite double.  The
     integral is asked for to tol * min(1, 2 pi / k!), so that the tolerance
     bounds the error of the value returned; an order whose factorial pushes
     that below rounding ends in QuadratureNoConvergence.  The target is
-    decomposed with ``seed`` to certify the kernel at every node
-    (ClusteringAmbiguous when it cannot be).
+    decomposed to certify the kernel at every node (ClusteringAmbiguous when
+    it cannot be).
     """
     scale = _cif_scale(k)
     tol = quad_tolerance(tol) * min(1.0, 2 * math.pi / math.factorial(k))
@@ -685,11 +682,11 @@ def cif_derivative(f, cycle, Z0: Element, k: int, phi: Morphism,
     if spot_check:
         _spot_check_holomorphy(f, cyc, phi)
 
-    out = _cauchy_kernel_integral(cyc, Z0, phi, (k + 1,), f, tol, seed)[0]
+    out = _cauchy_kernel_integral(cyc, Z0, phi, (k + 1,), f, tol)[0]
     out = phi.target.element(out * scale)
     if not solve:
         return out
-    return out * _index_inverse(index_spectral(cyc, Z0, phi, seed), phi.target, seed)
+    return out * _index_inverse(index_spectral(cyc, Z0, phi), phi.target)
 
 
 def _scalar_circle_at(cycle: Cycle, Z0: Element) -> CircleSegment | None:
@@ -706,23 +703,23 @@ def _scalar_circle_at(cycle: Cycle, Z0: Element) -> CircleSegment | None:
 
 
 def taylor_from_contour(f, cycle, Z0: Element, K: int, phi: Morphism,
-                        tol: float | None = None, seed: int = 0) -> PowerSeries:
+                        tol: float | None = None) -> PowerSeries:
     """Taylor coefficients B_k = f^(k)(Z0)/k! recovered from contour data.
 
     Requires an invertible index (all spectral windings nonzero).  The K + 1
     kernels phi(W - Z0)^(-k-1) are integrated in one pass that samples f
-    once per node; the target is decomposed with ``seed`` for the index and
-    the kernel (ClusteringAmbiguous when it cannot be).  For scalar circles
-    centered at Z0 the classical derivative bound
-    ||f^(k)(Z0)|| <= k!/r^k sup ||f|| is verified on the result.
+    once per node; the target is decomposed for the index and the kernel
+    (ClusteringAmbiguous when it cannot be).  For scalar circles centered at
+    Z0 the classical derivative bound ||f^(k)(Z0)|| <= k!/r^k sup ||f|| is
+    verified on the result.
     """
     cyc = as_cycle(cycle)
     tgt = phi.target
-    inv_idx = _index_inverse(index_spectral(cyc, Z0, phi, seed), tgt, seed)
+    inv_idx = _index_inverse(index_spectral(cyc, Z0, phi), tgt)
     f = _sampled(f, cyc.algebra, tgt)
     _spot_check_holomorphy(f, cyc, phi)
 
-    raw = _cauchy_kernel_integral(cyc, Z0, phi, range(1, K + 2), f, tol, seed)
+    raw = _cauchy_kernel_integral(cyc, Z0, phi, range(1, K + 2), f, tol)
     coeffs = _batch_mul(tgt, raw.T * (1.0 / (2j * math.pi)),
                         np.broadcast_to(inv_idx.coords[:, None], (tgt.dim, K + 1)))
 
@@ -758,7 +755,7 @@ class HomologicalReport:
 
 
 def homological_cif_check(f, cycle, Z0: Element, phi: Morphism,
-                          tol: float | None = None, seed: int = 0) -> HomologicalReport:
+                          tol: float | None = None) -> HomologicalReport:
     """Check f(Z0) * Ind = (1/2 pi i) int f/phi(W - Z0) dW over a 1-cycle.
 
     The caller asserts that the spectral projections of the cycle bound in
@@ -767,8 +764,8 @@ def homological_cif_check(f, cycle, Z0: Element, phi: Morphism,
     """
     cyc = as_cycle(cycle)
     f = _sampled(f, cyc.algebra, phi.target)
-    idx = index_spectral(cyc, Z0, phi, seed=seed)
-    rhs = cif_value(f, cyc, Z0, phi, tol, spot_check=False, seed=seed)
+    idx = index_spectral(cyc, Z0, phi)
+    rhs = cif_value(f, cyc, Z0, phi, tol, spot_check=False)
     lhs = f(Z0) * idx.element
     residual = (lhs - rhs).norm("frobenius")
     plain = integrate_cycle(f, cyc, phi, tol).norm("frobenius")

@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import Algebra, Element, StructureTensor, _batch_norm, rebase_matrix
+from .decomposition import artin_decompose
 from .errors import (
     HoloalgError,
     InvalidRecovered,
@@ -386,25 +387,21 @@ def recover_structure(f: FunctionSampler, points: Sequence[Element],
 
 
 def newton_invert_map(P, W: Element, guess: Element, max_steps: int = 100,
-                      tol: float = 1e-10, seed: int = 0) -> Element:
+                      tol: float = 1e-10) -> Element:
     """Pointwise inverse of a regular polynomial map by Newton iteration.
 
     ``P`` must evaluate elements and expose ``derive()`` (a polynomial power
     series over the identity morphism).  The iteration is
-    Z <- Z - P'(Z)^{-1} (P(Z) - W).  A non-constant complex Jacobian
-    determinant (checked at three seeded random points to 1e-8) only warns:
-    regularity is the caller's claim.
+    Z <- Z - P'(Z)^{-1} (P(Z) - W).  By the Jacobian lemma,
+    det lambda(P'(Z)) = prod_l sigma_l(P'(Z))^(d_l), so the complex Jacobian
+    determinant is constant exactly when sigma_l(B_k) = 0 for every component
+    l and every k >= 2.  When some |sigma_l(B_k)| exceeds 1e-8 ||B|| the call
+    only warns: regularity is the caller's claim.
     """
-    algebra = W.algebra
     Pprime = P.derive()
-
-    rng = np.random.default_rng(seed)
-    dets = []
-    for _ in range(3):
-        probe = algebra.random_element(rng)
-        dets.append(np.linalg.det(Pprime(probe).regular_matrix()))
-    spread = max(abs(d - dets[0]) for d in dets)
-    if spread > 1e-8 * (1 + abs(dets[0])):
+    B = P._window(P.degree + 1 if P.is_polynomial else P.rule_bound + 1)
+    spectral = artin_decompose(P.target).spectral_rows @ B[:, 2:]
+    if not np.abs(spectral).max(initial=0.0) <= 1e-8 * np.linalg.norm(B):
         warnings.warn("Jacobian determinant of the map is not constant; "
                       "the map may not be globally invertible", stacklevel=2)
 

@@ -27,7 +27,10 @@ it with their Taylor data T_j(s) = g^(j)(s) / j!: the series sums of
 stack of units, with no linear solve: it serves :func:`invert_via_series`
 and the Cauchy kernel of :mod:`holoalg.contour` at every quadrature node.
 
-All randomness is behind an explicit seed so results are reproducible.
+A commutative Artinian algebra has exactly one complete system of primitive
+orthogonal idempotents, so the decomposition is a function of the algebra
+alone: it is computed once per algebra, from a generic element drawn from a
+fixed generator, and cached on it.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Algebra, Element, _batch_apply, _batch_mul, _batch_regular
+from .algebra import (Algebra, Element, _batch_apply, _batch_mul, _batch_regular,
+                      _unit_columns)
 from .errors import AlgebraMismatch, ClusteringAmbiguous, NotAUnit, NotNilpotent
 
 NIL_RANK_TOL = 1e-10
@@ -156,28 +160,28 @@ def _frozen(arr) -> np.ndarray:
     return arr
 
 
-def artin_decompose(algebra: Algebra, seed: int = 0) -> Decomposition:
+def artin_decompose(algebra: Algebra) -> Decomposition:
     """Split the algebra into its local factors.
 
     The component count M is the number of distinct eigenvalues of the
-    generic element's multiplication matrix on the semisimple quotient;
-    a clustering closer than 1e-8 triggers up to three seeded retries
-    before :class:`ClusteringAmbiguous` is raised.  It is raised too when
-    the idempotents' traces tr lambda(e_l), the component dimensions, are
-    not within 1e-8 of positive integers summing to the algebra's dimension.
-    Results are cached on the algebra per (algebra, seed), so repeated calls
-    return the same read-only object, its :func:`profile` computed with it; a
-    call that raises caches nothing.
+    generic element's multiplication matrix on the semisimple quotient; the
+    generic element comes from ``np.random.default_rng(0)``, and a clustering
+    closer than 1e-8 triggers up to three retries with fresh draws before
+    :class:`ClusteringAmbiguous` is raised.  It is raised too when the
+    idempotents' traces tr lambda(e_l), the component dimensions, are not
+    within 1e-8 of positive integers summing to the algebra's dimension.
+    The idempotents are unique, so one decomposition is cached per algebra:
+    repeated calls return the same read-only object, its :func:`profile`
+    computed with it; a call that raises caches nothing.
     """
-    cache = algebra._decompositions
-    if seed not in cache:
-        dec = _decompose(algebra, seed)
+    if algebra._decomposition is None:
+        dec = _decompose(algebra)
         profile(algebra, dec)
-        cache[seed] = dec
-    return cache[seed]
+        algebra._decomposition = dec
+    return algebra._decomposition
 
 
-def _decompose(algebra: Algebra, seed: int) -> Decomposition:
+def _decompose(algebra: Algebra) -> Decomposition:
     nil_basis = nilradical(algebra)
     # orthonormal to the nilradical, so its adjoint projects along it onto the quotient
     complement = _null_space(nil_basis.conj().T)
@@ -187,7 +191,7 @@ def _decompose(algebra: Algebra, seed: int) -> Decomposition:
         # Local algebra: the only idempotent is 1.
         return _finish(algebra, nil_basis, (algebra.unit(),))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     last_gap = math.inf
     for _ in range(MAX_RETRIES):
         g = algebra.random_element(rng)
@@ -254,7 +258,7 @@ def _finish(algebra: Algebra, nil_basis: np.ndarray,
 
 
 def _component_order(rows, dims) -> list[int]:
-    """Deterministic, seed-independent component ordering."""
+    """Deterministic component ordering, independent of the generic element."""
     def key(k):
         row = np.round(rows[k], 8)
         return (-dims[k], tuple(zip(row.real.tolist(), row.imag.tolist())))
@@ -355,12 +359,11 @@ def _local_inverse(dec: Decomposition, w: np.ndarray) -> np.ndarray:
 
 
 def _unit_spectrum(dec: Decomposition, z: Element) -> np.ndarray:
-    """The spectral parts of z; NotAUnit when one vanishes."""
-    s = dec.spectrum(z)
-    zero = np.flatnonzero(np.abs(s) < 1e-14)
-    if zero.size:
-        raise NotAUnit(f"component {zero[0]} has zero spectral part")
-    return s
+    """The spectral parts of z; NotAUnit unless z is a unit by the rule of
+    :func:`_unit_columns`."""
+    if not _unit_columns(dec, z.coords[:, None])[0]:
+        raise NotAUnit("an element with a vanishing character is not a unit")
+    return dec.spectrum(z)
 
 
 def invert_via_series(z: Element, dec: Decomposition) -> Element:

@@ -37,10 +37,6 @@ class NotAUnit(HoloalgError):
     """Element has a singular regular representation; no inverse exists."""
 
 
-class DecompositionRequired(HoloalgError):
-    """The requested operation needs an attached decomposition."""
-
-
 class NotNilpotent(HoloalgError):
     """Element expected in the nilradical is not nilpotent."""
 

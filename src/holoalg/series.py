@@ -421,15 +421,15 @@ class CanonicalForm:
         return self._sampler
 
 
-def canonical_form(g: ScalarSeries, phi: Morphism, seed: int = 0) -> CanonicalForm:
+def canonical_form(g: ScalarSeries, phi: Morphism) -> CanonicalForm:
     """Lift scalar Taylor data to the holomorphic map on the spectral cylinder.
 
-    Any morphism is accepted: phi is factored through the decompositions
-    cached per ``seed``, and the construction runs per target component ell
+    Any morphism is accepted: phi is factored through the algebras' cached
+    decompositions, and the construction runs per target component ell
     with height nu = min of the local heights of tau(ell) and ell.
     """
-    dec_source = artin_decompose(phi.source, seed=seed)
-    dec_target = artin_decompose(phi.target, seed=seed)
+    dec_source = artin_decompose(phi.source)
+    dec_target = artin_decompose(phi.target)
     fact = factor(phi, dec_source, dec_target)
     heights_a = profile(phi.source, dec_source).heights
     heights_b = profile(phi.target, dec_target).heights

@@ -5,7 +5,6 @@ import holoalg as ha
 from holoalg.algebra import StructureTensor, build_algebra, rebase_matrix, transform_tensor
 from holoalg.errors import (
     AlgebraMismatch,
-    DecompositionRequired,
     NotAssociative,
     NotAUnit,
     NotCommutative,
@@ -51,6 +50,17 @@ def test_associativity_violation_reports_quadruple(t3):
     alpha[2, 1, 0] = 1.0
     with pytest.raises(NotAssociative, match=r"\(i,j,k,l\)"):
         build_algebra(StructureTensor(3, alpha))
+
+
+def test_an_overflowing_associator_is_not_associative():
+    # the associator of these commutative constants overflows to inf - inf =
+    # NaN, which a "gap > tol" test lets through, and the unit solve then fails
+    rng = np.random.default_rng(160)
+    alpha = rng.standard_normal((3, 3, 3))
+    alpha = 1e160 * (alpha + alpha.transpose(1, 0, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NotAssociative):
+            build_algebra(StructureTensor(3, alpha))
 
 
 def test_no_unit_is_detected():
@@ -184,6 +194,26 @@ def test_invert_agrees_with_nilpotent_series(dual, t3):
             assert (direct - series).coord_norm() < 1e-10
 
 
+def test_series_and_solve_share_one_unit_rule(dual, t3, split):
+    # the rule is scale-invariant: a tiny unit is a unit to both inverses, and
+    # a nilpotent element or a zero character is a non-unit to both
+    rng = np.random.default_rng(29)
+    for algebra in (dual, ha.direct_sum(t3, split)):
+        dec = ha.artin_decompose(algebra)
+        idempotents = np.column_stack([e.coords for e in dec.idempotents])
+        chars = np.exp(2j * np.pi * rng.random(dec.count))
+        z = algebra.element(1e-20 * (idempotents @ chars + dec.nilradical_basis @
+                                     rng.standard_normal(dec.nilradical_basis.shape[1])))
+        direct, series = z.invert(), ha.invert_via_series(z, dec)
+        assert (direct - series).coord_norm() <= 1e-10 * direct.coord_norm()
+        assert (series * z - algebra.unit()).coord_norm() < 1e-10
+        for bad in (algebra.element(dec.nilradical_basis[:, 0]),
+                    algebra.element(idempotents[:, :-1].sum(axis=1))):
+            for invert in (lambda x: x.invert(), lambda x: ha.invert_via_series(x, dec)):
+                with pytest.raises(NotAUnit):
+                    invert(bad)
+
+
 # -- spectral radius ---------------------------------------------------------------
 
 def test_spectral_radius_ignores_nilpotent_part(dual):
@@ -236,28 +266,30 @@ def test_frobenius_norm_matches_triangular_formula(dual):
 def test_norms_submultiplicative(kind, dual, split, t3):
     rng = np.random.default_rng(17)
     for algebra in (dual, split, t3):
-        dec = ha.artin_decompose(algebra) if kind == "direct-sum" else None
         for _ in range(25):
             a = algebra.random_element(rng)
             b = algebra.random_element(rng)
-            na = a.norm(kind, dec)
-            nb = b.norm(kind, dec)
-            assert (a * b).norm(kind, dec) <= na * nb * (1 + 1e-12) + 1e-12
+            na = a.norm(kind)
+            nb = b.norm(kind)
+            assert (a * b).norm(kind) <= na * nb * (1 + 1e-12) + 1e-12
 
 
 @pytest.mark.parametrize("kind", ["frobenius", "operator", "direct-sum"])
 def test_norm_dominates_spectral_radius(kind, dual, split, t3):
     rng = np.random.default_rng(19)
     for algebra in (dual, split, t3):
-        dec = ha.artin_decompose(algebra) if kind == "direct-sum" else None
         for _ in range(25):
             a = algebra.random_element(rng)
-            assert a.norm(kind, dec) >= a.spectral_radius() - 1e-10
+            assert a.norm(kind) >= a.spectral_radius() - 1e-10
 
 
-def test_direct_sum_norm_requires_decomposition(dual):
-    with pytest.raises(DecompositionRequired):
-        dual.unit().norm("direct-sum")
+def test_direct_sum_norm_reads_the_cached_decomposition(dual, cline):
+    algebra = ha.direct_sum(dual, cline)
+    z = algebra.element([1.0, 2.0, -3.0j])
+    norm = z.norm("direct-sum")
+    dec = algebra._decomposition
+    assert dec is not None and norm == dec.direct_sum_norm(z)
+    assert ha.artin_decompose(algebra) is dec
 
 
 # -- unit group coordinates ------------------------------------------------------------

@@ -15,6 +15,8 @@ from holoalg.errors import (
 )
 
 from conftest import assert_coords
+from test_batched import random_basis_sum
+from test_node_kernels import FACTORS
 
 
 # -- system generation -----------------------------------------------------------
@@ -286,6 +288,56 @@ def test_newton_warns_on_nonconstant_jacobian(dual, id_dual):
                                   [dual.zero(), dual.zero(), dual.unit()])
     with pytest.warns(UserWarning, match="not constant"):
         ha.newton_invert_map(P, dual.scalar(4.0), dual.scalar(1.5))
+
+
+def regular_map(rng, algebra, degree=3):
+    """P = B_0 + B_1 Z + sum_{k>=2} N_k Z^k with B_1 a unit and nilpotent N_k:
+    sigma_l(P'(Z)) = sigma_l(B_1), so the Jacobian determinant is constant."""
+    dec = ha.artin_decompose(algebra)
+    idempotents = np.column_stack([e.coords for e in dec.idempotents])
+    nil = dec.nilradical_basis
+
+    def nilpotent():
+        return algebra.element(nil @ (0.3 * rng.standard_normal((nil.shape[1], 2)) @ [1, 1j]))
+
+    unit = algebra.element(idempotents @ np.exp(2j * np.pi * rng.random(dec.count))) + nilpotent()
+    coeffs = [algebra.random_element(rng, 0.3), unit] + [nilpotent() for _ in range(degree - 1)]
+    return ha.PowerSeries.polynomial(ha.identity_morphism(algebra), algebra.zero(), coeffs)
+
+
+def test_newton_is_silent_on_a_regular_map():
+    rng = np.random.default_rng(44)
+    for _ in range(5):
+        algebra = random_basis_sum(rng, FACTORS["t3"], FACTORS["dual"], FACTORS["split"])
+        P = regular_map(rng, algebra)
+        W = algebra.random_element(rng, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Z = ha.newton_invert_map(P, W, W)
+        assert (P(Z) - W).norm("frobenius") < 1e-10
+
+
+def test_newton_warns_on_a_spectral_term_in_one_component():
+    rng = np.random.default_rng(45)
+    algebra = random_basis_sum(rng, FACTORS["t3"], FACTORS["dual"], FACTORS["split"])
+    P = regular_map(rng, algebra)
+    e = ha.artin_decompose(algebra).idempotents[-1]
+    bent = ha.PowerSeries.polynomial(P.phi, P.center, [*P.coeffs[:2], P.coeffs[2] + 0.1 * e])
+    W = algebra.random_element(rng, 0.1)
+    with pytest.warns(UserWarning, match="not constant"):
+        Z = ha.newton_invert_map(bent, W, W)
+    assert (bent(Z) - W).norm("frobenius") < 1e-10
+
+
+def test_newton_draws_no_random_point(monkeypatch):
+    rng = np.random.default_rng(46)
+    algebra = random_basis_sum(rng, FACTORS["t3"], FACTORS["dual"], FACTORS["split"])
+    P = regular_map(rng, algebra)   # decomposes the algebra before the draws are refused
+    W = algebra.random_element(rng, 0.5)
+    monkeypatch.setattr(ha.Algebra, "random_element",
+                        lambda *args, **kwargs: pytest.fail("Newton drew a random element"))
+    Z = ha.newton_invert_map(P, W, W)
+    assert (P(Z) - W).norm("frobenius") < 1e-10
 
 
 def test_newton_singular_derivative(dual, id_dual):

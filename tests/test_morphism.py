@@ -157,7 +157,7 @@ def test_factor_dichotomy_violation(cc, cline):
 
 # -- factorization cache -------------------------------------------------------------
 
-def test_factor_runs_once_per_morphism_and_seed(split, monkeypatch):
+def test_factor_runs_once_per_morphism(split, monkeypatch):
     from holoalg import morphism
     runs = []
     body = morphism._factor
@@ -165,13 +165,13 @@ def test_factor_runs_once_per_morphism_and_seed(split, monkeypatch):
     phi = ha.identity_morphism(split)
     circle = ha.Path.circle(split.zero(), 1.0)
     Z0 = split.element([0.2, 0.1])
-    for seed in (0, 1):
-        ha.admissibility(circle, Z0, phi, seed=seed)
-        ha.index_spectral(circle, Z0, phi, seed=seed)
-    assert len(runs) == 2
+    for _ in range(2):
+        ha.admissibility(circle, Z0, phi)
+        ha.index_spectral(circle, Z0, phi)
+    assert len(runs) == 1
     other = ha.identity_morphism(split)
     ha.index_spectral(circle, Z0, other)
-    assert runs == [phi, phi, other]
+    assert runs == [phi, other]
     dec = ha.artin_decompose(split)
     assert ha.factor(phi, dec, dec) is ha.factor(phi, dec, dec)
 

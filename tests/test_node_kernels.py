@@ -254,7 +254,7 @@ def test_one_geometry_call_per_segment_kind_per_level(dual, id_dual, monkeypatch
         assert sum(events[i][1] for i in kernels) == total
 
 
-def test_one_decomposition_per_algebra_and_seed(monkeypatch):
+def test_one_decomposition_per_algebra(monkeypatch):
     # a C06-style loop: admissibility, both indices and a Cauchy value per point
     seen = counting_worker(monkeypatch)
     algebras = [ha.dual_numbers(), ha.split_complex()]
@@ -274,18 +274,19 @@ def test_one_decomposition_per_algebra_and_seed(monkeypatch):
                 assert (quad - spectral.element).coord_norm() < 1e-8
                 ha.cif_value(f.sampler(), path, Z0, phi, spot_check=False)
                 points += 1
-        ha.index_spectral(unit_circle(algebra), algebra.zero(), phi, seed=1)
     assert points >= 12
-    assert sorted(seen) == sorted((id(a), s) for a in algebras for s in (0, 1))
+    assert sorted(seen) == sorted(map(id, algebras))
 
 
-def test_seed_reaches_the_cauchy_layer(cubic):
-    # each call decomposes its freshly built algebra with the caller's seed only
+def test_the_cauchy_layer_decomposes_each_algebra_once(cubic, monkeypatch):
+    # each call decomposes its freshly built algebra, once, and keeps the result
+    seen = counting_worker(monkeypatch)
     f = cubic.sampler()
-    for call in (lambda A, phi: ha.index_quadrature(unit_circle(A), A.zero(), phi, seed=3),
-                 lambda A, phi: ha.cif_derivative(f, unit_circle(A), A.zero(), 1, phi, seed=3),
-                 lambda A, phi: ha.homological_cif_check(f, unit_circle(A), A.zero(), phi,
-                                                         seed=3)):
+    for call in (lambda A, phi: ha.index_quadrature(unit_circle(A), A.zero(), phi),
+                 lambda A, phi: ha.cif_derivative(f, unit_circle(A), A.zero(), 1, phi),
+                 lambda A, phi: ha.homological_cif_check(f, unit_circle(A), A.zero(), phi)):
         algebra = ha.dual_numbers()
+        seen.clear()
         call(algebra, ha.identity_morphism(algebra))
-        assert list(algebra._decompositions) == [3]
+        assert seen == [id(algebra)]
+        assert algebra._decomposition is ha.artin_decompose(algebra)

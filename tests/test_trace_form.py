@@ -80,7 +80,7 @@ def test_decompose_makes_three_svds_and_no_solve(monkeypatch, algebra, count):
 
         monkeypatch.setattr(linalg_impl, name, counted)
         monkeypatch.setattr(np.linalg, name, counted)
-    dec = decomposition._decompose(algebra, 0)
+    dec = decomposition._decompose(algebra)
     monkeypatch.undo()
     assert calls == ["svd"] * 3
     assert dec.count == count
