@@ -339,7 +339,8 @@ def test_bad_path_and_cycle_files_are_one_line_errors(files, capsys, tmp_path, t
     ("cif", "--order", "-1"),
     ("cif", "--order", "200"),
     ("decompose", "--seed", "0"),
-], ids=["order-negative", "order-factorial-overflows", "decompose-seed"])
+    ("index", "--seed", "0"),
+], ids=["order-negative", "order-factorial-overflows", "decompose-seed", "index-seed"])
 def test_bad_order_and_seed_are_one_line_errors(files, capsys, monkeypatch, argv):
     from holoalg import contour
     monkeypatch.setattr(contour, "_cauchy_kernel_integral",
@@ -347,7 +348,9 @@ def test_bad_order_and_seed_are_one_line_errors(files, capsys, monkeypatch, argv
     command, *flags = argv
     inputs = {"cif": ["--algebra", files["dual"], "--function", files["cubic"],
                       "--path", files["circle"], "--point", files["origin"]],
-              "decompose": [files["split"]]}[command]
+              "decompose": [files["split"]],
+              "index": ["--algebra", files["dual"], "--path", files["circle"],
+                        "--point", files["origin"]]}[command]
     if flags[0] == "--seed":
         # a decomposition is a function of the algebra alone, so there is no
         # seed to pass: argparse refuses the option before any work
