@@ -4,7 +4,7 @@ Subcommands: validate, decompose, crgen, check, index, cif, series, invert.
 Every subcommand supports --json (machine-readable report, full doubles).
 Human mode prints numbers with 12 significant digits.  Exit codes: 0
 success, 2 mathematical validation failure (the violated identity is
-printed), 1 I/O or schema errors.  The environment variable HOLOALG_TOL
+printed), 1 I/O, schema or usage errors.  The environment variable HOLOALG_TOL
 overrides the quadrature tolerance (default 1e-10).
 """
 
@@ -269,8 +269,15 @@ def cmd_invert(args):
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors leave as SchemaError, one line and exit 1; subparsers inherit it."""
+
+    def error(self, message):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="holoalg",
         description="Computation with finite-dimensional commutative unital "
                     "complex algebras and their holomorphic function theory.",
@@ -352,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         report, lines = args.handler(args)
     except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,7 +2,8 @@
 
 Paths are piecewise-C1 with closed-form kinds (circles and polylines carry
 exact derivatives and arc lengths); user-sampled paths are accepted as dense
-polylines when flagged smooth.  All contour integrals go through one
+polylines when flagged smooth.  Every contour integral is one integrand,
+f(W) phi(W - Z0)^(-p) dW with power 0 the plain integral, through one
 integrator, refined breadth first over every segment of every path of a
 cycle: each level samples the integrand once at the new nodes of all
 unconverged segments, with one geometry call per segment kind.  A circle
@@ -384,7 +385,7 @@ def _quadrature(terms, phi: Morphism, integrand, tol: float | None) -> np.ndarra
                        weights=_arcs(stacked.values(), phi), minlength=len(terms))
     bounds = sup * arcs[:, None]
     norms = _batch_norm(tgt, total.reshape(-1, tgt.dim).T).reshape(bounds.shape)
-    for p, i in np.argwhere(norms > bounds * (1 + 1e-6) + 1e-9):
+    for p, i in np.argwhere(~(norms <= bounds * (1 + 1e-6) + 1e-9)):   # NaN fails
         raise EstimateViolated(
             f"quadrature result {i} on path {p} violates the norm estimate "
             f"({norms[p, i]:.3e} > {bounds[p, i]:.3e}); integrand is likely "
@@ -435,22 +436,12 @@ def integrate(f, path: Path, phi: Morphism, tol: float | None = None) -> Element
     segments, to the given per-coordinate absolute tolerance, with the
     estimate ||integral|| <= sup ||f|| * L verified (see :func:`_quadrature`).
     """
-    return _integrate_terms(f, ((1, path),), phi, tol)
+    return phi.target.element(_cauchy_kernel_integral(((1, path),), None, phi, (0,), f, tol)[0])
 
 
 def integrate_cycle(f, cycle, phi: Morphism, tol: float | None = None) -> Element:
-    return _integrate_terms(f, as_cycle(cycle).terms, phi, tol)
-
-
-def _integrate_terms(f, terms, phi: Morphism, tol: float | None) -> Element:
-    tgt = phi.target
-    sampler = _sampled(f, terms[0][1].algebra, tgt)
-
-    def integrand(pts, vel):
-        fv = sampler.values(pts)
-        return _batch_mul(tgt, fv, vel)[None], _batch_norm(tgt, fv)[None]
-
-    return tgt.element(_quadrature(terms, phi, integrand, tol)[0])
+    terms = as_cycle(cycle).terms
+    return phi.target.element(_cauchy_kernel_integral(terms, None, phi, (0,), f, tol)[0])
 
 
 def _batch_inv(dec: Decomposition, w: np.ndarray) -> np.ndarray:
@@ -464,32 +455,40 @@ def _batch_inv(dec: Decomposition, w: np.ndarray) -> np.ndarray:
     return _local_inverse(dec, w)
 
 
-def _cauchy_kernel_integral(cycle: Cycle, Z0: Element, phi: Morphism, powers: Sequence[int],
+def _cauchy_kernel_integral(terms, Z0: Element | None, phi: Morphism, powers: Sequence[int],
                             f=None, tol: float | None = None) -> np.ndarray:
-    """Integrals of f(W) phi(W - Z0)^(-p) dW over the cycle, one row per p in powers.
+    """Integrals of f(W) phi(W - Z0)^(-p) dW over the (mult, path) terms, open
+    paths too, one row per p in the ascending powers.
 
-    All powers share the nodes, one kernel inverse and one sample of f (f
-    optional) per refinement level; each has its own norm-estimate check.
-    The kernel's unit test uses the target's decomposition.
+    Power 0, the plain integral of f dW, is f itself: it needs no Z0, no
+    inverse and no decomposition.  All powers share the nodes, one kernel
+    inverse and one sample of f (optional from power 1 on) per refinement
+    level; each has its own norm-estimate check.  The kernel's unit test
+    uses the target's decomposition.
     """
     tgt = phi.target
-    dec = artin_decompose(tgt)
-    sampler = None if f is None else _sampled(f, cycle.algebra, tgt)
+    plain = int(powers[0] == 0)   # a leading row that is f itself
+    dec = artin_decompose(tgt) if powers[-1] else None
+    sampler = None if f is None else _sampled(f, terms[0][1].algebra, tgt)
 
     def integrand(pts, vel):
-        inv = _batch_inv(dec, phi.matrix @ (pts - Z0.coords[:, None]))
-        stack = [inv]
-        for _ in range(max(powers) - 1):
-            stack.append(_batch_mul(tgt, stack[-1], inv))
-        # one (m, B T) stack, power by power, so that each product is one call
-        kernels = np.concatenate([stack[p - 1] for p in powers], axis=1)
-        if sampler is not None:
-            kernels = _batch_mul(tgt, np.tile(sampler.values(pts), len(powers)), kernels)
+        kernels = fv = None if sampler is None else sampler.values(pts)
+        if dec is not None:
+            inv = _batch_inv(dec, phi.matrix @ (pts - Z0.coords[:, None]))
+            stack = [inv]
+            for _ in range(powers[-1] - 1):
+                stack.append(_batch_mul(tgt, stack[-1], inv))
+            # one (m, B T) stack, power by power, so that each product is one call
+            kernels = np.concatenate([stack[p - 1] for p in powers[plain:]], axis=1)
+            if fv is not None:
+                kernels = _batch_mul(tgt, np.tile(fv, len(powers) - plain), kernels)
+            if plain:
+                kernels = np.concatenate([fv, kernels], axis=1)
         values = _batch_mul(tgt, kernels, np.tile(vel, len(powers)))
         return (values.reshape(tgt.dim, len(powers), -1).transpose(1, 0, 2),
                 _batch_norm(tgt, kernels).reshape(len(powers), -1))
 
-    return _quadrature(cycle.terms, phi, integrand, tol)
+    return _quadrature(terms, phi, integrand, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +612,7 @@ def index_quadrature(cycle, Z0: Element, phi: Morphism,
     to certify that phi(W - Z0) is a unit at every node: NotAUnit when it is
     not, ClusteringAmbiguous when the target cannot be decomposed.
     """
-    out = _cauchy_kernel_integral(as_cycle(cycle), Z0, phi, (1,), tol=tol)[0]
+    out = _cauchy_kernel_integral(as_cycle(cycle).terms, Z0, phi, (1,), tol=tol)[0]
     return phi.target.element(out * (1.0 / (2j * math.pi)))
 
 
@@ -682,7 +681,7 @@ def cif_derivative(f, cycle, Z0: Element, k: int, phi: Morphism,
     if spot_check:
         _spot_check_holomorphy(f, cyc, phi)
 
-    out = _cauchy_kernel_integral(cyc, Z0, phi, (k + 1,), f, tol)[0]
+    out = _cauchy_kernel_integral(cyc.terms, Z0, phi, (k + 1,), f, tol)[0]
     out = phi.target.element(out * scale)
     if not solve:
         return out
@@ -709,9 +708,9 @@ def taylor_from_contour(f, cycle, Z0: Element, K: int, phi: Morphism,
     Requires an invertible index (all spectral windings nonzero).  The K + 1
     kernels phi(W - Z0)^(-k-1) are integrated in one pass that samples f
     once per node; the target is decomposed for the index and the kernel
-    (ClusteringAmbiguous when it cannot be).  For scalar circles centered at
-    Z0 the classical derivative bound ||f^(k)(Z0)|| <= k!/r^k sup ||f|| is
-    verified on the result.
+    (ClusteringAmbiguous when it cannot be).  On scalar circles centered at
+    Z0 the kernel is scalar, so ||f^(k)(Z0)|| <= k!/r^k sup ||f|| holds in
+    every norm: it is checked in the Frobenius norm, and NaN fails it.
     """
     cyc = as_cycle(cycle)
     tgt = phi.target
@@ -719,7 +718,7 @@ def taylor_from_contour(f, cycle, Z0: Element, K: int, phi: Morphism,
     f = _sampled(f, cyc.algebra, tgt)
     _spot_check_holomorphy(f, cyc, phi)
 
-    raw = _cauchy_kernel_integral(cyc, Z0, phi, range(1, K + 2), f, tol)
+    raw = _cauchy_kernel_integral(cyc.terms, Z0, phi, range(1, K + 2), f, tol)
     coeffs = _batch_mul(tgt, raw.T * (1.0 / (2j * math.pi)),
                         np.broadcast_to(inv_idx.coords[:, None], (tgt.dim, K + 1)))
 
@@ -727,11 +726,11 @@ def taylor_from_contour(f, cycle, Z0: Element, K: int, phi: Morphism,
     if circle is not None:
         ts = np.linspace(0.0, 1.0, 257)
         f_circle = f.values(circle.points(ts))
-        sup = float(_batch_norm(tgt, f_circle, "operator").max())
+        sup = float(_batch_norm(tgt, f_circle).max())
         fact = np.array([math.factorial(k) for k in range(K + 1)], dtype=float)
-        lhs = fact * _batch_norm(tgt, coeffs, "operator")
+        lhs = fact * _batch_norm(tgt, coeffs)
         bound = fact * sup / circle.radius ** np.arange(K + 1)
-        for k in np.flatnonzero(lhs > bound * (1 + 1e-6) + 1e-9):
+        for k in np.flatnonzero(~(lhs <= bound * (1 + 1e-6) + 1e-9)):   # NaN fails
             raise EstimateViolated(
                 f"derivative bound violated at order {k}: {lhs[k]:.3e} > {bound[k]:.3e}")
     return PowerSeries.polynomial(phi, Z0, [tgt.element(c) for c in coeffs.T])
@@ -760,13 +759,12 @@ def homological_cif_check(f, cycle, Z0: Element, phi: Morphism,
 
     The caller asserts that the spectral projections of the cycle bound in
     the projected domain.  Also reports || int_Gamma f dW ||, which vanishes
-    for spectrally null-homologous cycles.
+    for spectrally null-homologous cycles: it is power 0 of the same pass.
     """
     cyc = as_cycle(cycle)
-    f = _sampled(f, cyc.algebra, phi.target)
+    tgt = phi.target
+    f = _sampled(f, cyc.algebra, tgt)
     idx = index_spectral(cyc, Z0, phi)
-    rhs = cif_value(f, cyc, Z0, phi, tol, spot_check=False)
-    lhs = f(Z0) * idx.element
-    residual = (lhs - rhs).norm("frobenius")
-    plain = integrate_cycle(f, cyc, phi, tol).norm("frobenius")
-    return HomologicalReport(idx, residual, plain)
+    plain, kernel = _cauchy_kernel_integral(cyc.terms, Z0, phi, (0, 1), f, tol)
+    residual = (f(Z0) * idx.element - tgt.element(kernel * _cif_scale(0))).norm("frobenius")
+    return HomologicalReport(idx, residual, tgt.element(plain).norm("frobenius"))

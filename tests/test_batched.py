@@ -345,6 +345,45 @@ def test_cycle_integral_is_one_pass(dual, id_dual, cubic):
     assert cycle_calls < len(seen) - cycle_calls
 
 
+def test_homological_check_is_one_quadrature(dual, id_dual, cubic, monkeypatch):
+    # the CIF and the plain integral are kernel powers 1 and 0 of one pass
+    calls = []
+    quadrature = contour._quadrature
+    monkeypatch.setattr(contour, "_quadrature", lambda *a: calls.append(a) or quadrature(*a))
+    cycle = ha.Cycle(((1, unit_circle(dual)), (-1, ha.Path.circle(dual.element([0, 1.0]), 1.0))))
+    ha.homological_cif_check(cubic.sampler(), cycle, dual.element([0, 5.0]), id_dual)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("case", ["dual", "t3", "random-basis-dual+split"])
+def test_one_pass_homological_check_matches_two_passes(dual, split, t3, case):
+    rng = np.random.default_rng(11)
+    A = {"dual": dual, "t3": t3,
+         "random-basis-dual+split": random_basis_sum(rng, dual, split)}[case]
+    phi = ha.identity_morphism(A)
+    cycle = ha.Cycle(((1, unit_circle(A)), (2, square_loop(A))))
+    Z0 = A.scalar(0.2 + 0.1j) + A.random_element(rng, 0.05)
+    # a holomorphic f, and conjugation, whose residual and plain integral are O(1)
+    for f in (random_polynomial(rng, phi, degree=4).sampler(), ha.conjugation_sampler(A)):
+        report = ha.homological_cif_check(f, cycle, Z0, phi)
+        cif = ha.cif_value(f, cycle, Z0, phi, spot_check=False)
+        residual = (f(Z0) * report.index.element - cif).norm("frobenius")
+        assert abs(report.cif_residual - residual) <= 1e-10
+        plain = ha.integrate_cycle(f, cycle, phi).norm("frobenius")
+        assert abs(report.integral_norm - plain) <= 1e-10
+    assert report.cif_residual > 0.1 and report.integral_norm > 1   # conjugation's
+
+
+def test_plain_integrals_need_no_decomposition(dual, id_dual, cubic, monkeypatch):
+    # kernel power 0 is f itself: no inverse, so no unit test and no decomposition
+    monkeypatch.setattr(contour, "artin_decompose",
+                        lambda *a: pytest.fail("decomposed for a plain integral"))
+    f = cubic.sampler()
+    ha.integrate(f, ha.Path.polyline([dual.zero(), dual.unit()]), id_dual)
+    ha.integrate_cycle(f, ha.Cycle(((1, unit_circle(dual)), (-1, square_loop(dual)))), id_dual)
+    assert ha.goursat_residual(f, (dual.zero(), dual.unit(), dual.scalar(1j)), id_dual) < 1e-9
+
+
 def test_panel_budget_names_the_segment(dual, id_dual, monkeypatch):
     # the jump at t = 0.3 keeps one panel unconverged per level: segment 1
     # takes 1 panel at depth 0 and 2 at each depth after, 11 by depth 5

@@ -303,9 +303,18 @@ def test_index_through_a_morphism_file(files, capsys, tmp_path, cline, sigma_dua
     assert abs(report["quadrature"][0][0] - 1.0) < 1e-8
 
 
-def test_unknown_flags_rejected(files):
-    with pytest.raises(SystemExit):
-        main(["validate", files["dual"], "--frobnicate"])
+def test_unknown_flags_rejected(files, capsys):
+    # a usage error is a one-line exit 1, not argparse's usage text and exit 2
+    code, out, err = run(capsys, "validate", files["dual"], "--frobnicate")
+    assert one_line_error(code, out, err), err
+    assert "unrecognized arguments: --frobnicate" in err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["index", "--help"])
+    assert exc.value.code == 0
+    assert "--point" in capsys.readouterr().out
 
 
 def circle_file(**fields):
@@ -351,14 +360,12 @@ def test_bad_order_and_seed_are_one_line_errors(files, capsys, monkeypatch, argv
               "decompose": [files["split"]],
               "index": ["--algebra", files["dual"], "--path", files["circle"],
                         "--point", files["origin"]]}[command]
+    code, out, err = run(capsys, command, *inputs, *flags)
+    assert one_line_error(code, out, err), err
     if flags[0] == "--seed":
         # a decomposition is a function of the algebra alone, so there is no
-        # seed to pass: argparse refuses the option before any work
-        with pytest.raises(SystemExit):
-            run(capsys, command, *inputs, *flags)
-        assert "unrecognized arguments: --seed" in capsys.readouterr().err
-        return
-    assert one_line_error(*run(capsys, command, *inputs, *flags))
+        # seed to pass: the parser refuses the option before any work
+        assert "unrecognized arguments: --seed" in err
 
 
 def test_importing_the_cli_loads_neither_scipy_nor_numpy_polynomial():

@@ -184,6 +184,30 @@ def test_derivative_bound_violation_is_typed(dual, id_dual, cubic, monkeypatch):
         ha.taylor_from_contour(cubic.sampler(), unit_circle(dual), dual.zero(), 3, id_dual)
 
 
+def test_a_nan_sample_fails_the_derivative_bound(dual, id_dual):
+    # NaN only near t = 1/256: one of the bound's 257 points and no node of
+    # the 64-node circle rule, so only the bound check sees it, and NaN fails it
+    spot = np.exp(2j * np.pi / 256)
+
+    def f(Z):
+        near = np.abs(Z.coords[0] - spot) < 1e-9
+        return ha.Element(dual, np.multiply.outer([1, 0], np.where(near, np.nan, 1.0)))
+
+    with pytest.raises(EstimateViolated, match="bound violated at order 0: .* > nan"):
+        ha.taylor_from_contour(ha.FunctionSampler(f, dual, dual), unit_circle(dual),
+                               dual.zero(), 3, id_dual)
+
+
+def test_a_nan_norm_bound_fails_the_estimate(dual, id_dual, monkeypatch):
+    # a NaN sample makes the integral NaN too, which never converges, so a NaN
+    # bound is reached only by patching: here the arc lengths are NaN
+    arcs = contour._arcs
+    monkeypatch.setattr(contour, "_arcs", lambda *a, **k: arcs(*a, **k) * math.nan)
+    seg = ha.Path.polyline([dual.zero(), dual.unit()])
+    with pytest.raises(EstimateViolated, match="norm estimate"):
+        ha.integrate(const_sampler(dual, [1, 0]), seg, id_dual)
+
+
 def test_quadrature_tolerance_env_override(dual, id_dual, monkeypatch):
     from holoalg.contour import quad_tolerance
     assert quad_tolerance() == 1e-10
@@ -282,6 +306,34 @@ def test_index_morphism_compatibility(dual, cline, sigma_dual):
     lq = ha.index_quadrature(circ, Z0, sigma_dual)
     rq = ha.index_quadrature(pushed, sigma_dual(Z0), ha.identity_morphism(cline))
     assert (lq - rq).coord_norm() < 1e-8
+
+
+def test_index_and_cif_are_functorial(dual, cline, sigma_dual):
+    # the category of function theories: for phi: A -> B and a unital psi: B -> C,
+    # psi(x^-1) = psi(x)^-1, so Ind_{psi o phi} = psi(Ind_phi) and the CIF of
+    # psi o f along psi o phi is psi of the CIF of f along phi
+    B = ha.direct_sum(dual, cline)
+    embed = ha.build_morphism(dual, B, [[1, 0], [0, 1], [1, 0]])   # z |-> (z, sigma(z))
+    pairs = [(ha.identity_morphism(dual), sigma_dual),
+             (embed, ha.build_morphism(B, dual, [[1, 0, 0], [0, 1, 0]])),
+             (embed, ha.build_morphism(B, cline, [[0, 0, 1]]))]
+    cycle = ha.Cycle(((1, unit_circle(dual)), (2, ha.Path.circle(dual.scalar(0.2), 1.5))))
+    Z0 = dual.element([0.3, 2.0])
+    rng = np.random.default_rng(3)
+    for phi, psi in pairs:
+        both = ha.compose(phi, psi)
+        pushed = psi(ha.index_spectral(cycle, Z0, phi).element)
+        spectrum = ha.artin_decompose(psi.target).spectrum(pushed)
+        assert ha.index_spectral(cycle, Z0, both).values == tuple(np.rint(spectrum.real))
+        assert np.abs(spectrum - np.rint(spectrum.real)).max() < 1e-12
+        gap = psi(ha.index_quadrature(cycle, Z0, phi)) - ha.index_quadrature(cycle, Z0, both)
+        assert gap.coord_norm() < 1e-8
+        coeffs = [phi.target.random_element(rng, 0.5) for _ in range(4)]
+        f = ha.PowerSeries.polynomial(phi, dual.element([0.1, 0.2]), coeffs).sampler()
+        psi_f = ha.FunctionSampler(lambda Z: ha.Element(psi.target, psi.matrix @ f(Z).coords),
+                                   dual, psi.target)
+        gap = psi(ha.cif_value(f, cycle, Z0, phi)) - ha.cif_value(psi_f, cycle, Z0, both)
+        assert gap.coord_norm() < 1e-8
 
 
 def test_mixed_component_windings(cc):
