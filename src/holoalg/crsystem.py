@@ -70,8 +70,8 @@ class FunctionSampler:
     fn: Callable[[Element], Element]
     source: Algebra
     target: Algebra
-    # whether fn acts columnwise on stacks; None until values first meets a stack
-    _stacked: bool | None = field(default=None, init=False, repr=False, compare=False)
+    # whether fn acts columnwise on stacks: given by a series, else None until a stack comes
+    _stacked: bool | None = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __call__(self, Z: Element) -> Element:
         try:
@@ -107,7 +107,8 @@ class FunctionSampler:
     def _agrees(self, out: np.ndarray, coords: np.ndarray) -> bool:
         """Whether the first and last stacked columns match fn on those points alone."""
         ref = np.column_stack([self(Element(self.source, coords[:, t])).coords for t in (0, -1)])
-        return bool(np.abs(out[:, [0, -1]] - ref).max() <= 1e-12 * np.abs(ref).max())
+        with np.errstate(invalid="ignore"):   # inf - inf: NaN, which disagrees
+            return bool(np.abs(out[:, [0, -1]] - ref).max() <= 1e-12 * np.abs(ref).max())
 
 
 def conjugation_sampler(algebra: Algebra) -> FunctionSampler:
@@ -240,15 +241,19 @@ def scheffers_system(phi: Morphism) -> ScheffersSystem:
 # finite-difference engine
 # ---------------------------------------------------------------------------
 
-def _stencil_derivatives(f: FunctionSampler, Z: np.ndarray, h):
-    """Real-step and imaginary-step central differences along every source
-    coordinate at the P columns of Z, with step h (or h[p] at point p), from
-    one evaluation of all P 4n-point stencils: two (m, n, P) stacks."""
-    n, P = Z.shape
+def _stencil_points(Z: np.ndarray, h) -> np.ndarray:
+    """The 4n-point stencils of real and imaginary steps h (or h[p] at point p)
+    along every source coordinate about the P columns of Z, as one (n, 4nP) stack."""
+    n = len(Z)
     steps = np.concatenate([np.eye(n), 1j * np.eye(n)], axis=1)
-    pts = Z[:, None, :] + np.concatenate([steps, -steps], axis=1)[:, :, None] * h
-    vals = f.values(pts.reshape(n, -1))
-    diff = (vals[:, :2 * n * P] - vals[:, 2 * n * P:]).reshape(-1, 2 * n, P)
+    return (Z[:, None, :] + np.concatenate([steps, -steps], axis=1)[:, :, None] * h).reshape(n, -1)
+
+
+def _stencil_derivatives(vals: np.ndarray, h, n: int):
+    """Real-step and imaginary-step central differences from the (m, 4nP)
+    values of f on :func:`_stencil_points`: two (m, n, P) stacks."""
+    half = vals.shape[1] // 2   # the + steps, then the - steps
+    diff = (vals[:, :half] - vals[:, half:]).reshape(len(vals), 2 * n, -1)
     return diff[:, :n] / (2 * h), diff[:, n:] / (2j * h)
 
 
@@ -260,8 +265,8 @@ def partial_derivatives(f: FunctionSampler, Z: Element, h: float):
     between the two estimates (zero to O(h^2) iff f is complex-differentiable
     in each coordinate).
     """
-    d_re, d_im = _stencil_derivatives(f, Z.coords[:, None], h)
-    d_re, d_im = d_re[:, :, 0], d_im[:, :, 0]
+    vals = f.values(_stencil_points(Z.coords[:, None], h))
+    d_re, d_im = (d[:, :, 0] for d in _stencil_derivatives(vals, h, len(Z.coords)))
     mismatch = float(np.abs(d_re - d_im).max())
     return (d_re + d_im) / 2, mismatch
 
@@ -274,13 +279,13 @@ def gcru_residual(f: FunctionSampler, phi: Morphism, Z: Element,
     mismatch is folded in, so conjugation-type maps score ~2.
     """
     h = default_step(Z) if h is None else h
-    return float(_gcru_residuals(f, phi, Z.coords[:, None], h)[0])
+    return float(_gcru_residuals(phi, f.values(_stencil_points(Z.coords[:, None], h)), h)[0])
 
 
-def _gcru_residuals(f: FunctionSampler, phi: Morphism, Z: np.ndarray, h) -> np.ndarray:
-    """gcru_residual at the P columns of Z, with step h (or h[p] at point p),
-    from one evaluation of all their stencils."""
-    d_re, d_im = _stencil_derivatives(f, Z, h)
+def _gcru_residuals(phi: Morphism, vals: np.ndarray, h) -> np.ndarray:
+    """gcru_residual at the P points whose stencils, with step h (or h[p] at
+    point p), f took the (m, 4nP) values ``vals`` on (see :func:`_stencil_points`)."""
+    d_re, d_im = _stencil_derivatives(vals, h, phi.source.dim)
     D = (d_re + d_im) / 2
     B = np.einsum("ijp,j->ip", D, phi.source.unit_coords)   # f'(Z_p) via the unit expansion
     residual = np.abs(D - np.einsum("jrs,sp->rjp", phi.gamma, B)).max(axis=(0, 1))
@@ -307,8 +312,8 @@ def jacobian_consistency(f: FunctionSampler, Z: Element,
         raise NonSquare("Jacobian comparison needs an endomorphism sampler")
     h = default_step(Z) if h is None else h
     src = f.source
-    d_re, d_im = _stencil_derivatives(f, Z.coords[:, None], h)
-    d_re, d_im = d_re[:, :, 0], d_im[:, :, 0]
+    vals = f.values(_stencil_points(Z.coords[:, None], h))
+    d_re, d_im = (d[:, :, 0] for d in _stencil_derivatives(vals, h, src.dim))
     jac = (d_re + d_im) / 2
     defect = float(np.linalg.norm(d_re - d_im, "fro")) / 2
     b = src.element(jac @ src.unit_coords)  # f'(Z)
@@ -369,7 +374,8 @@ def recover_structure(f: FunctionSampler, points: Sequence[Element],
 
     if jacobians is None:
         steps = np.array([default_step(Z) if h is None else h for Z in points])
-        d_re, d_im = _stencil_derivatives(f, np.column_stack([Z.coords for Z in points]), steps)
+        vals = f.values(_stencil_points(np.column_stack([Z.coords for Z in points]), steps))
+        d_re, d_im = _stencil_derivatives(vals, steps, n)
         jacobians = ((d_re + d_im) / 2).transpose(2, 0, 1)
 
     # row t of the right-hand sides: df^i/dz^j(Z_t) for every (i, j); solution [s, i, j]

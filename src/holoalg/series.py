@@ -197,7 +197,6 @@ class PowerSeries(_Coefficients):
         self.center = center
         self._component_radii: np.ndarray | None = None
         self._radius: float | None = None
-        self._sampler: FunctionSampler | None = None
 
     @classmethod
     def polynomial(cls, phi: Morphism, center: Element,
@@ -322,11 +321,11 @@ class PowerSeries(_Coefficients):
         return self.evaluate_strict(Z) if self.is_polynomial else self.evaluate(Z)
 
     def sampler(self) -> FunctionSampler:
-        """The series as a sampler, one per series, so that its stacked-call
-        check runs once; a polynomial evaluates stacks in one call."""
-        if self._sampler is None:
-            self._sampler = FunctionSampler(self.evaluate_strict, self.phi.source, self.phi.target)
-        return self._sampler
+        """The series as a sampler, unchecked: a polynomial evaluates stacks in
+        one call, a rule series refuses them.  The series keeps no reference
+        to it, so no cycle waits for the collector."""
+        return FunctionSampler(self.evaluate_strict, self.phi.source, self.phi.target,
+                               _stacked=self.is_polynomial)
 
     def _horner(self, X: np.ndarray) -> np.ndarray:
         """Horner's rule at a point or at the columns of an (n, T) stack of source
@@ -396,7 +395,6 @@ class CanonicalForm:
         self.scalar = scalar
         self.heights = heights
         self.dec_target = dec_target
-        self._sampler: FunctionSampler | None = None
 
     def scalar_radius(self) -> float:
         return self.scalar.radius()
@@ -415,10 +413,9 @@ class CanonicalForm:
             self.scalar._expand(z - self.scalar.center, P, TRUNCATION_TOL))
 
     def sampler(self) -> FunctionSampler:
-        """The form as a sampler, one per form (see PowerSeries.sampler)."""
-        if self._sampler is None:
-            self._sampler = FunctionSampler(self.evaluate, self.phi.source, self.phi.target)
-        return self._sampler
+        """The form as a sampler, which loops over the columns of a stack
+        (see PowerSeries.sampler)."""
+        return FunctionSampler(self.evaluate, self.phi.source, self.phi.target, _stacked=False)
 
 
 def canonical_form(g: ScalarSeries, phi: Morphism) -> CanonicalForm:

@@ -3,7 +3,10 @@ the breadth-first integrator and the one-pass Taylor recovery, against scalar
 references."""
 
 import dataclasses
+import gc
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -91,10 +94,10 @@ def test_rule_series_and_plain_samplers_loop(dual, id_dual):
     assert np.abs(square.values(X) - want).max() <= 1e-15 and square._stacked
 
 
-def test_a_series_keeps_one_sampler(dual, id_dual, monkeypatch):
+def test_a_series_sampler_is_never_checked(dual, id_dual, monkeypatch):
     # the first stacked call of a sampler is checked, a polynomial's against
-    # two scalar calls; a series or a canonical form keeps one sampler, so it
-    # pays that once, not once per sampler() call
+    # two scalar calls; a series or a canonical form knows the verdict, so
+    # none of its samplers pays the check, and the form's never tries a stack
     X = np.array([[0.5, 0.3j, 0.1], [0.25, 2.0, -0.3j]])
     checks, stacked_calls = [], []
     agrees, evaluate = ha.FunctionSampler._agrees, ha.CanonicalForm.evaluate
@@ -106,12 +109,30 @@ def test_a_series_keeps_one_sampler(dual, id_dual, monkeypatch):
     form = ha.canonical_form(ha.ScalarSeries(dual, 0.0, coeffs=[dual.zero(), dual.unit()]),
                              id_dual)
     for f in (P, form):
-        assert f.sampler() is f.sampler()
         for _ in range(3):
-            f.sampler().values(X)
-    assert checks == [P.sampler()] and P.sampler()._stacked
-    # the form refuses stacks: one stacked attempt, then the column loop
-    assert sum(stacked_calls) == 1 and form.sampler()._stacked is False
+            assert np.abs(f.sampler().values(X) - looped(f.sampler(), X)).max() <= 1e-15
+    assert checks == [] and P.sampler()._stacked
+    assert sum(stacked_calls) == 0 and form.sampler()._stacked is False
+
+
+@pytest.mark.parametrize("make", ["polynomial", "rule series", "canonical form"])
+def test_a_series_is_freed_without_the_cyclic_collector(dual, id_dual, make):
+    # the sampler holds the series, not the other way round: no reference cycle
+    f = {"polynomial": lambda: ha.PowerSeries.polynomial(id_dual, dual.zero(), [dual.unit()]),
+         "rule series": lambda: ha.geometric_series(id_dual),
+         "canonical form": lambda: ha.canonical_form(
+             ha.ScalarSeries(dual, 0.0, coeffs=[dual.zero(), dual.unit()]), id_dual)}[make]()
+    sampler = f.sampler()
+    sampler.values(np.array([[0.1, 0.2j], [0.3, 0.0]]))
+    ref = weakref.ref(f)
+    gc.disable()
+    try:
+        del f
+        assert ref() is not None   # the sampler keeps it alive
+        del sampler
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_batch_failures_become_sampler_failures(dual):
@@ -434,7 +455,7 @@ def test_large_levels_are_evaluated_in_blocks(dual, id_dual, cubic, monkeypatch)
 def test_a_block_takes_the_last_panels_and_the_first_circle_runs(dual, id_dual, cubic,
                                                                   monkeypatch):
     # 100 nodes a call: the square's 4 panels (84 nodes) and one run of 16 of
-    # the circle's 32 share the first call, and the second run takes the next
+    # the circle's 64 share the first call, and the other three runs the next
     cycle = ha.Cycle(((1, unit_circle(dual)), (-1, square_loop(dual))))
     seen = []
     f = counting(cubic.sampler(), seen)
@@ -443,7 +464,7 @@ def test_a_block_takes_the_last_panels_and_the_first_circle_runs(dual, id_dual, 
     seen.clear()
     blocked = ha.integrate_cycle(f, cycle, id_dual)
     assert np.abs((whole - blocked).coords).max() < 1e-13
-    assert seen[:2] == [100, 16] and max(seen) <= 100
+    assert seen[:2] == [100, 48] and max(seen) <= 100
 
 
 # -- the periodic trapezoid rule on circles -------------------------------------------------
@@ -541,16 +562,16 @@ def test_circle_rule_through_a_pushforward(dual, cline, sigma_dual):
 
 
 def test_circle_node_budget_names_the_segment(dual, id_dual, monkeypatch):
-    # a jump on the circle never converges: 32 + 32 + 64 nodes fill a budget of 128
+    # a jump on the circle never converges: 64 + 64 nodes fill a budget of 128
     monkeypatch.setattr(contour, "QUAD_MAX_PANELS", 8)
     seen = []
     f = counting(ha.FunctionSampler(lambda Z: dual.unit() if Z.coords[0].real > 0.3
                                     else dual.zero(), dual, dual), seen)
     with pytest.raises(QuadratureNoConvergence,
-                       match=r"node budget 128 of a circle exhausted at depth 2, "
+                       match=r"node budget 128 of a circle exhausted at depth 1, "
                              r"unconverged at path 0 segment 0 after 128 nodes"):
         ha.integrate(f, unit_circle(dual), id_dual)
-    assert seen == [32, 32, 64]
+    assert seen == [64, 64]
     monkeypatch.setattr(contour, "QUAD_MAX_DEPTH", 0)
     with pytest.raises(QuadratureNoConvergence, match=r"refinement exhausted depth 0 at "
                                                       r"path 0 segment 0 after 64 nodes"):
@@ -601,8 +622,30 @@ def test_circle_rule_misses_a_lone_mode_at_64(dual, id_dual):
     assert_close(value, [1, 0])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_sample_ends_the_call_at_its_first_level(dual, id_dual, monkeypatch, value):
+    # f is non-finite at W = -1 only, t = 0.5 on the second path's circle: the
+    # first sample names that node, before any kernel arithmetic
+    calls = []
+    quadrature = contour._quadrature
+    monkeypatch.setattr(contour, "_quadrature", lambda terms, phi, integrand, *rest: quadrature(
+        terms, phi, lambda *a: calls.append(1) or integrand(*a), *rest))
+    f = ha.FunctionSampler(lambda Z: ha.Element(dual, np.where(
+        np.abs(Z.coords[0] + 1) < 1e-9, value, Z.coords)), dual, dual)
+    cycle = ha.Cycle(((1, ha.Path.circle(dual.zero(), 0.5)), (1, unit_circle(dual))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: ha.cif_value(f, cycle, dual.element([0.2, 0.1]), id_dual),
+                     lambda: ha.integrate_cycle(f, cycle, id_dual)):
+            calls.clear()
+            with pytest.raises(SamplerFailure, match=r"non-finite value at path 1 segment 0, "
+                                                     r"t = 0\.5$"):
+                call()
+            assert calls == [1], (call, calls)
+
+
 def test_large_circle_levels_are_evaluated_in_blocks(dual, id_dual, cubic, monkeypatch):
-    Z0 = dual.element([0.97, 0.1])   # levels of up to 1,024 new nodes
+    Z0 = dual.element([0.97, 0.1])   # one level of 2,048 nodes
     seen = []
     f = counting(cubic.sampler(), seen)
     whole = ha.cif_value(f, unit_circle(dual), Z0, id_dual, spot_check=False)
@@ -612,6 +655,117 @@ def test_large_circle_levels_are_evaluated_in_blocks(dual, id_dual, cubic, monke
     blocked = ha.cif_value(f, unit_circle(dual), Z0, id_dual, spot_check=False)
     assert np.abs((whole - blocked).coords).max() < 1e-13
     assert max(seen) == 128 and len(seen) > calls
+
+
+# -- the planned first level of the circle rule ---------------------------------------------
+
+PLAN_ALGEBRAS = {"dual": ha.dual_numbers(), "t3": ha.truncated_polynomials(3),
+                 "random-basis-dual+split": random_basis_sum(np.random.default_rng(7),
+                                                             ha.dual_numbers(), ha.split_complex())}
+
+
+@st.composite
+def planned_circles(draw):
+    """A circle of random center, radius and direction; a point whose
+    component l lies at distance ratio q_l in [0.05, 0.98] inside or outside
+    the projected circle; a kernel power 1-4; f a polynomial or None; and a
+    tolerance scaled by the integrand's size, so that rounding stays far
+    below it."""
+    algebra = PLAN_ALGEBRAS[draw(st.sampled_from(sorted(PLAN_ALGEBRAS)))]
+    dec = ha.artin_decompose(algebra)
+    L = dec.count
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    idempotents = np.column_stack([e.coords for e in dec.idempotents])
+
+    def element(spectrum):   # the given spectral values and a small nilpotent part
+        nil = dec.nilradical_basis @ rng.uniform(-0.1, 0.1, dec.nilradical_basis.shape[1])
+        return algebra.element(idempotents @ spectrum + nil)
+
+    def phases():
+        return np.exp(2j * np.pi * rng.random(L))
+
+    center = element(rng.uniform(-1, 1, L) * phases())
+    direction = element(rng.uniform(0.5, 1.5, L) * phases())
+    radius = rng.uniform(0.5, 2.0)
+    q = np.array(draw(st.lists(st.floats(0.05, 0.98), min_size=L, max_size=L)))
+    rho = np.where(draw(st.lists(st.booleans(), min_size=L, max_size=L)), q, 1 / q)
+    projected = radius * np.abs(dec.spectral_rows @ direction.coords)
+    Z0 = element(dec.spectral_rows @ center.coords + rho * projected * phases())
+    phi = ha.identity_morphism(algebra)
+    path = ha.Path.circle(center, radius, direction=direction)
+    power = draw(st.integers(1, 4))
+    f = random_polynomial(rng, phi, draw(st.integers(0, 3))).sampler() \
+        if draw(st.booleans()) else None
+    on_path = path.segments[0].points(np.linspace(0, 1, 64))
+    size = 1.0 if f is None else np.abs(f.values(on_path)).max()
+    clearance = (projected * np.abs(1 - rho)).min()
+    order = power + max(ha.profile(algebra, dec).heights) - 1
+    return path, Z0, phi, power, f, 1e-10 * max(1.0, size) * max(1.0, clearance ** -order)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(planned_circles())
+def test_the_planned_first_level_agrees_with_doubling_from_32(case):
+    path, Z0, phi, power, f, tol = case
+    terms, nodes = ((1, path),), []
+    quadrature = contour._quadrature
+
+    def counted(terms, phi, integrand, *rest):
+        return quadrature(terms, phi, lambda pts, *a: nodes.append(pts.shape[1])
+                          or integrand(pts, *a), *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(contour, "_quadrature", counted)
+        planned = contour._cauchy_kernel_integral(terms, Z0, phi, (power,), f, tol)
+        planned_nodes = sum(nodes)
+        nodes.clear()
+        mp.setattr(contour, "_circle_start", lambda *a: 32)   # the reference doubles from T_32
+        reference = contour._cauchy_kernel_integral(terms, Z0, phi, (power,), f, tol)
+        reference_nodes = sum(nodes)   # 2 N, N the accepted rule's
+    assert np.abs(planned - reference).max() <= 2 * tol
+    assert planned_nodes <= 2 * reference_nodes
+    if contour._circle_start(terms, Z0, phi, power, tol) <= reference_nodes // 2:
+        assert planned_nodes == reference_nodes
+
+
+@pytest.mark.parametrize("case", ["dual", "t3", "bidual", "random-basis-dual+split", "sigma"])
+def test_a_cif_workload_shape_is_one_integrand_call(dual, t3, split, sigma_dual, monkeypatch,
+                                                    case):
+    # as in the benchmark's cif workload: the unit circle about a center of
+    # spectral size 0.3, |sigma_l(Z0 - c)| = 0.4, nilpotent parts of size 0.3
+    # and 0.4, f of degree 6 with coordinates of size 0.5, orders up to 3,
+    # Taylor K = 6 at the center and the homological pair: one level each,
+    # with one sample of f
+    rng = np.random.default_rng(3)
+    phi = sigma_dual if case == "sigma" else ha.identity_morphism(
+        {"dual": dual, "t3": t3, "bidual": ha.bidual(),
+         "random-basis-dual+split": random_basis_sum(rng, dual, split)}[case])
+    A, B = phi.source, phi.target
+    dec = ha.artin_decompose(A)
+
+    def point(size):
+        phases = np.exp(2j * np.pi * rng.random(dec.count + dec.nilradical_basis.shape[1]))
+        return A.element(size * (np.column_stack([e.coords for e in dec.idempotents])
+                                 @ phases[:dec.count] + dec.nilradical_basis @ phases[dec.count:]))
+
+    center = point(0.3)
+    Z0 = center + point(0.4)
+    offset = A.element(dec.nilradical_basis @ rng.random(dec.nilradical_basis.shape[1]))
+    f = ha.PowerSeries.polynomial(phi, A.zero(), [
+        B.element(0.5 * np.exp(2j * np.pi * rng.random(B.dim))) for _ in range(7)]).sampler()
+    circle = ha.Path.circle(center, 1.0)
+    pair = ha.Cycle(((1, circle), (-1, ha.Path.circle(center + offset, 1.0))))
+    calls = []
+    quadrature = contour._quadrature
+    monkeypatch.setattr(contour, "_quadrature", lambda terms, phi, integrand, *rest: quadrature(
+        terms, phi, lambda *a: calls.append(1) or integrand(*a), *rest))
+    for call in [lambda: ha.cif_value(f, circle, Z0, phi),
+                 *(lambda k=k: ha.cif_derivative(f, circle, Z0, k, phi) for k in (1, 2, 3)),
+                 lambda: ha.taylor_from_contour(f, circle, center, 6, phi),
+                 lambda: ha.homological_cif_check(f, pair, Z0, phi)]:
+        calls.clear()
+        call()
+        assert calls == [1]
 
 
 # -- Taylor recovery ------------------------------------------------------------------------
@@ -633,7 +787,7 @@ def test_taylor_samples_f_once_per_level(dual, id_dual, cubic):
     seen = []
     ha.taylor_from_contour(counting(cubic.sampler(), seen), ha.Path.circle(Z0, 1.0), Z0, 6,
                            id_dual)
-    # the three spot-check stencils in one call, the quadrature levels, the
-    # 257-point bound check
-    assert seen[0] == 3 * 4 * dual.dim and seen[-1] == 257
-    assert all(n % 16 == 0 for n in seen[1:-1])
+    # Z0 is the center, so the rule starts from T_32: its first level, 64
+    # nodes and the three spot-check stencils in one call, converges; then
+    # the 257-point bound check
+    assert seen == [64 + 3 * 4 * dual.dim, 257]

@@ -455,13 +455,18 @@ def test_cif_spot_check_warns_for_conjugation(dual, id_dual):
         ha.cif_value(conj, unit_circle(dual), dual.zero(), id_dual)
 
 
-def test_cif_spot_check_sees_every_spot_point(dual, id_dual):
+def test_cif_spot_check_sees_every_spot_point(dual, id_dual, monkeypatch):
     # conjugation on the left half-plane only: of the spot points at t = 0.17,
-    # 0.43 and 0.81 on the unit circle, only the second lies there
+    # 0.43 and 0.81 on the unit circle, only the second lies there.  The
+    # stencils ride in the first sample of f, and the warning comes before
+    # the rule fails on the jumps, at the caller's line
+    monkeypatch.setattr(contour, "QUAD_MAX_DEPTH", 0)
     f = ha.FunctionSampler(lambda Z: dual.element(np.conj(Z.coords)) if Z.coords[0].real < 0
                            else Z, dual, dual)
-    with pytest.warns(UserWarning, match=r"non-holomorphic near the path \(residual 2"):
-        contour._spot_check_holomorphy(f, contour.as_cycle(unit_circle(dual)), id_dual)
+    with pytest.warns(UserWarning, match=r"non-holomorphic near the path \(residual 2") as record, \
+            pytest.raises(QuadratureNoConvergence, match="exhausted depth 0"):
+        ha.cif_derivative(f, unit_circle(dual), dual.zero(), 0, id_dual)
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_coefficients_from_derivatives(dual, id_dual, cubic):
